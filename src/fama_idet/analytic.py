@@ -469,8 +469,8 @@ def _idet_special_raw(ctx: KernelContext, ns: int, nf: int) -> float:
     diff = qm[:, :nf] - qm[:, nf:]                  # (j, s)
 
     f_x = _ncx2_pdf(1, (c * v1)[:, None], x[None, :])        # (i, s)
-    inner = upper * np.einsum("js,is,s->ij", diff, f_x, wx)  # rows j: v2, cols i: v1
-    return float(w2 @ _pow_k(inner, kp) @ w1)
+    inner = upper * np.einsum("js,is,s->ij", diff, f_x, wx)  # rows i: v1, cols j: v2
+    return float(w1 @ _pow_k(inner, kp) @ w2)
 
 
 def idet_special_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:

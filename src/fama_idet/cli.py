@@ -99,9 +99,8 @@ def _cmd_compare(args) -> int:
             lines.append(f"{status} {cell}{line.metric}: evaluation error")
         else:
             lines.append(
-                f"{status} {cell}{line.metric}: |MC-EXACT|="
-                f"{abs(line.mc - line.exact):.6g} vs 3*ci={3 * line.ci_half_width:.6g}"
-                f" (MC={line.mc:.6g}, EXACT={line.exact:.6g})"
+                f"{status} {cell}{line.metric}: EXACT={line.exact:.6g} vs "
+                f"MC={line.mc:.6g} Wilson [{line.lo:.6g}, {line.hi:.6g}]"
             )
     text = "\n".join(lines) + "\n"
     if args.out:

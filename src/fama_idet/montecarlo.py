@@ -1,17 +1,18 @@
 """Monte-Carlo estimation of outage probabilities, gains and energy efficiency.
 
 All UEs are statistically identical, so only UE 0 is simulated; the
-number of UEs enters through the interference dimensionality.  Trials
-run in fixed-size blocks, each block on its own counter-derived Philox
-substream, which makes every estimate a pure function of (config, seed)
-regardless of scheduling.
+number of UEs enters through the interference dimensionality.  Port
+powers are drawn per antenna group, as noncentral chi-square variables
+given the components all ports share.  Trials run in fixed-size blocks,
+each block on its own counter-derived Philox substream, which makes every
+estimate a pure function of (config, seed) regardless of scheduling.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats as st
@@ -44,6 +45,8 @@ class Strategy(enum.Enum):
 
 @dataclass(frozen=True)
 class OutageEstimate:
+    """Outage rate with the half-width of its 95% Wilson score interval."""
+
     value: float
     ci_half_width: float
     trials: int
@@ -100,28 +103,48 @@ def los_phases(cfg: SystemConfig, seed: int, cell: int = 0) -> np.ndarray:
     return rng.uniform(0.0, 2.0 * math.pi, size=cfg.n_users)
 
 
-def _block_powers(cfg, rng, size, n_antennas, phases=None):
-    """Raw port powers |g|^2 of shape (size, K, n) for UE 0, antenna 0 desired."""
-    k = cfg.n_ports
-    mu = cfg.mu
+def _blocks(cfg, trials, seed, cell, groups):
+    """Yield UE 0's port powers summed per antenna group, one block of trials
+    at a time, each block of shape (size, K, len(groups)) on its own substream.
+
+    Group g is the next ``groups[g]`` antennas; group 0 is antenna 0, the
+    desired link.  Given the shared means m_n = mu h0_n + sqrt(kappa) e^{j phi_n},
+    a group of G antennas gives each port the power (s Z + |m|)^2 + s^2 C with
+    |m|^2 = sum |m_n|^2, s^2 = 1 - mu^2, Z ~ N(0, 1) and C ~ chi2(2G - 1),
+    drawn as a squared normal when G = 1.
+    """
+    if trials < 1000:
+        raise ValueError("trials must be >= 1000")
+    k, mu, n = cfg.n_ports, cfg.mu, sum(groups)
     s = math.sqrt(max(0.0, 1.0 - mu * mu))
-    x0 = rng.standard_normal((size, 1, n_antennas))
-    y0 = rng.standard_normal((size, 1, n_antennas))
-    xk = rng.standard_normal((size, k, n_antennas))
-    yk = rng.standard_normal((size, k, n_antennas))
-    gr = s * xk + mu * x0
-    gi = s * yk + mu * y0
-    if phases is not None and cfg.rician_k > 0.0:
-        amp = math.sqrt(cfg.rician_k)
-        gr += amp * np.cos(phases)[None, None, :n_antennas]
-        gi += amp * np.sin(phases)[None, None, :n_antennas]
-    return gr * gr + gi * gi
+    starts = np.cumsum((0, *groups[:-1]))
+    los = 0.0
+    if cfg.rician_k > 0.0:
+        phases = los_phases(cfg, seed, cell)[:n]
+        los = math.sqrt(cfg.rician_k) * np.stack([np.cos(phases), np.sin(phases)])[:, None]
+    for b in range((trials + BLOCK - 1) // BLOCK):
+        size = min(BLOCK, trials - b * BLOCK)
+        rng = substream(seed, cell, b)
+        h = mu * rng.standard_normal((2, size, n)) + los
+        m = np.sqrt(np.add.reduceat(h[0] ** 2 + h[1] ** 2, starts, axis=1))
+        p = (s * rng.standard_normal((size, k, len(groups))) + m[:, None, :]) ** 2
+        for g, width in enumerate(groups):
+            c = (rng.standard_normal((size, k)) ** 2 if width == 1
+                 else rng.chisquare(2 * width - 1, (size, k)))
+            p[:, :, g] += s * s * c
+        yield p
 
 
-def _block_iter(trials: int):
-    n_blocks = (trials + BLOCK - 1) // BLOCK
-    for b in range(n_blocks):
-        yield b, min(BLOCK, trials - b * BLOCK)
+def _sinr_q(desired, interf, q_scale):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinr = np.where(interf > 0.0, desired / interf, np.inf)
+    return sinr, q_scale * (desired + interf)
+
+
+def _q_scale(cfg) -> float:
+    # 2/(2+kappa) keeps mean harvested power independent of the LoS strength
+    return (1.0 - cfg.ps_ratio) * cfg.tx_power / cfg.distance ** cfg.pathloss_exp \
+        * 2.0 / (2.0 + cfg.rician_k)
 
 
 def simulate_outage_counts(
@@ -138,17 +161,13 @@ def simulate_outage_counts(
     max-based metrics are additionally counted per swept value on common
     random numbers, so the pathwise monotonicity in K and N is exact.
     """
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000")
     if k_values is not None and n_values is not None:
         raise ValueError("nest over K or N, not both")
     gamma = cfg.sinr_threshold
-    # 2/(2+kappa) keeps mean harvested power independent of the LoS strength
-    q_scale = (1.0 - cfg.ps_ratio) * cfg.tx_power / cfg.distance ** cfg.pathloss_exp \
-        * 2.0 / (2.0 + cfg.rician_k)
+    q_scale = _q_scale(cfg)
     q_th = cfg.ehp_threshold
-    phases = los_phases(cfg, seed, cell) if cfg.rician_k > 0.0 else None
-    n_max = max(n_values) if n_values else cfg.n_users
+    # nested N sums per-antenna powers cumulatively, so each antenna is a group
+    groups = (1,) * max(n_values) if n_values else (1, cfg.n_users - 1)
 
     counts = {m: 0 for m in Metric}
     nested = None
@@ -157,17 +176,11 @@ def simulate_outage_counts(
                   for m in (Metric.WDT_SINR, Metric.WET_EHP,
                             Metric.IDET_SPECIAL, Metric.IDET_GENERAL)}
 
-    for b, size in _block_iter(trials):
-        rng = substream(seed, cell, b)
-        p = _block_powers(cfg, rng, size, n_max, phases)
+    for p in _blocks(cfg, trials, seed, cell, groups):
         if n_values:
             _count_nested_n(p, n_values, gamma, q_scale, q_th, nested)
             continue
-        desired = p[:, :, 0]
-        interf = p.sum(axis=2) - desired
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sinr = np.where(interf > 0.0, desired / interf, np.inf)
-        q = q_scale * (desired + interf)
+        sinr, q = _sinr_q(p[:, :, 0], p[:, :, 1], q_scale)
         if k_values:
             _count_nested_k(sinr, q, k_values, gamma, q_th, nested)
         _count_full(sinr, q, gamma, q_th, counts)
@@ -220,10 +233,20 @@ def _count_nested_n(p, n_values, gamma, q_scale, q_th, nested):
         nested[Metric.IDET_GENERAL][i] += int((wdt | wet).sum())
 
 
-def _to_estimate(count, trials, metric):
+def wilson_interval(count: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+    """Wilson score interval (Wilson, JASA 1927); unlike the Wald interval
+    it keeps a positive width at counts of 0 and `trials`."""
     p = count / trials
-    ci = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-    return OutageEstimate(p, ci, trials, metric)
+    z2n = z * z / trials
+    centre = (p + 0.5 * z2n) / (1.0 + z2n)
+    half = z / (1.0 + z2n) * math.sqrt(p * (1.0 - p) / trials + 0.25 * z2n / trials)
+    return max(0.0, centre - half), min(1.0, centre + half)
+
+
+def _estimate(cfg, trials, seed, cell, metric):
+    count = simulate_outage_counts(cfg, trials, seed, cell)["counts"][metric]
+    lo, hi = wilson_interval(count, trials)
+    return OutageEstimate(count / trials, 0.5 * (hi - lo), trials, metric)
 
 
 _STRATEGY_METRIC = {
@@ -243,9 +266,7 @@ def estimate_outage(
     cell: int = 0,
 ) -> OutageEstimate:
     """Outage of `metric` (WDT=SINR test, WET=EHP test) under `strategy`'s port."""
-    res = simulate_outage_counts(cfg, trials, seed, cell)
-    m = _STRATEGY_METRIC[(strategy, metric)]
-    return _to_estimate(res["counts"][m], trials, m)
+    return _estimate(cfg, trials, seed, cell, _STRATEGY_METRIC[(strategy, metric)])
 
 
 def estimate_idet(
@@ -253,8 +274,7 @@ def estimate_idet(
 ) -> OutageEstimate:
     """IDET outage: SPECIAL = every port fails both; GENERAL = either max fails."""
     m = Metric.IDET_SPECIAL if kind.upper() == "SPECIAL" else Metric.IDET_GENERAL
-    res = simulate_outage_counts(cfg, trials, seed, cell)
-    return _to_estimate(res["counts"][m], trials, m)
+    return _estimate(cfg, trials, seed, cell, m)
 
 
 def multiplexing_gains(outages: dict, n_users: int) -> GainReport:
@@ -279,25 +299,14 @@ def estimate_energy_efficiency(
     Primary figure is the ratio of means E[R] / E[Q_total]; the mean of the
     per-trial ratios is reported alongside.
     """
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000")
-    gamma_irrelevant = None  # port choice only needs the realization
-    q_scale = (1.0 - cfg.ps_ratio) * cfg.tx_power / cfg.distance ** cfg.pathloss_exp \
-        * 2.0 / (2.0 + cfg.rician_k)
-    phases = los_phases(cfg, seed, cell) if cfg.rician_k > 0.0 else None
+    q_scale = _q_scale(cfg)
     n = cfg.n_users
     base_power = n * cfg.tx_power + cfg.fixed_power
 
     rate_sums, q_sums, ratio_sums = [], [], []
-    for b, size in _block_iter(trials):
-        rng = substream(seed, cell, b)
-        p = _block_powers(cfg, rng, size, n, phases)
-        desired = p[:, :, 0]
-        interf = p.sum(axis=2) - desired
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sinr = np.where(interf > 0.0, desired / interf, np.inf)
-        q = q_scale * (desired + interf)
-        rows = np.arange(size)
+    for p in _blocks(cfg, trials, seed, cell, (1, n - 1)):
+        sinr, q = _sinr_q(p[:, :, 0], p[:, :, 1], q_scale)
+        rows = np.arange(len(p))
         idx = np.argmax(sinr if strategy is Strategy.WDT else q, axis=1)
         sel_rate = np.log2(1.0 + sinr[rows, idx])
         sel_q = q[rows, idx]
@@ -332,19 +341,8 @@ def independence_diagnostic(
     At mu = 0 the two are exactly independent; the diagnostic passes when
     |corr| < 3 / sqrt(trials).  Any mu is accepted for informational runs.
     """
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000")
-    sums = np.empty(trials)
-    ratios = np.empty(trials)
-    pos = 0
-    for b, size in _block_iter(trials):
-        rng = substream(seed, cell, b)
-        p = _block_powers(cfg, rng, size, cfg.n_users)
-        x = p[:, 0, 0]
-        y = p[:, 0, 1:].sum(axis=1)
-        sums[pos:pos + size] = x + y
-        ratios[pos:pos + size] = x / y
-        pos += size
-    corr = float(st.spearmanr(sums, ratios).statistic)
+    blocks = _blocks(replace(cfg, n_ports=1), trials, seed, cell, (1, cfg.n_users - 1))
+    x, y = np.concatenate(list(blocks))[:, 0].T
+    corr = float(st.spearmanr(x + y, x / y).statistic)
     threshold = 3.0 / math.sqrt(trials)
     return IndependenceReport(corr, threshold, abs(corr) < threshold, trials)

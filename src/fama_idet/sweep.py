@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import analytic
 from .analytic import KernelContext, QuadratureConvergenceError
 from .channel import SystemConfig
-from .montecarlo import Method, Metric, simulate_outage_counts
+from .montecarlo import Method, Metric, simulate_outage_counts, wilson_interval
 from .specfun import SeriesConvergenceError
 
 _INT_FIELDS = {"n_users", "n_ports"}
@@ -239,9 +239,9 @@ def _evaluate_cell(spec: SweepSpec, idx: int, value) -> list[dict]:
                 rows.append(_row(axis_label, m, Method.MC, math.nan, None,
                                  spec.trials, None, _error_kind(mc_err)))
                 continue
-            p = counts[m] / spec.trials
-            ci = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / spec.trials)
-            rows.append(_row(axis_label, m, Method.MC, p, ci, spec.trials,
+            lo, hi = wilson_interval(counts[m], spec.trials)
+            rows.append(_row(axis_label, m, Method.MC, counts[m] / spec.trials,
+                             0.5 * (hi - lo), spec.trials,
                              mc_seconds if spec.timing else None, ""))
     for m, meth in spec.metrics:
         if meth is Method.MC:
@@ -349,12 +349,13 @@ class CompareLine:
     metric: str
     mc: float
     exact: float
-    ci_half_width: float
+    lo: float        # Wilson interval of the MC rate at z = 3 * 1.96
+    hi: float
     passed: bool
 
 
 def compare(spec: SweepSpec, workers: int = 1) -> list[CompareLine]:
-    """Cross-validate |MC - EXACT| against 3x the MC CI half-width."""
+    """Cross-validate: EXACT must lie in the MC rate's Wilson interval at z = 3 * 1.96."""
     metric_set = {}
     for m, meth in spec.metrics:
         metric_set.setdefault(m, set()).add(meth)
@@ -371,12 +372,11 @@ def compare(spec: SweepSpec, workers: int = 1) -> list[CompareLine]:
             ex = by_key[(axis_label, m.value, "EXACT")]
             if mc["error"] or ex["error"]:
                 report.append(CompareLine(axis_label, m.value, math.nan, math.nan,
-                                          math.nan, False))
+                                          math.nan, math.nan, False))
                 continue
             mc_v, ex_v = float(mc["value"]), float(ex["value"])
-            ci = float(mc["ci"]) if mc["ci"] else 0.0
-            report.append(CompareLine(
-                axis_label, m.value, mc_v, ex_v, ci,
-                abs(mc_v - ex_v) <= 3.0 * ci,
-            ))
+            trials = int(mc["trials"])
+            lo, hi = wilson_interval(round(mc_v * trials), trials, 3.0 * 1.96)
+            report.append(CompareLine(axis_label, m.value, mc_v, ex_v, lo, hi,
+                                      lo <= ex_v <= hi))
     return report

@@ -7,6 +7,7 @@ exact integrals; the full per-metric grid runs in the acceptance suite.
 import math
 
 import pytest
+from scipy import integrate, stats
 
 from fama_idet.analytic import (
     DEFAULT_QUAD,
@@ -115,11 +116,16 @@ class TestEdgeCases:
 
 class TestClosedForms:
     def test_wdt_pair_structure(self):
-        ctx = ctx_from(n_users=5, n_ports=200, fa_size=5.0, sinr_threshold=10.0)
+        # inside the first-order regime (K*s <= 0.2), so neither value clamps
+        ctx = ctx_from(n_users=3, n_ports=16, fa_size=2.0, sinr_threshold=10.0)
         pair = wdt_sinr_approx(ctx)
-        assert 0.0 <= pair.corollary <= pair.theorem <= 1.0 or (
-            0.0 <= pair.theorem <= 1.0 and 0.0 <= pair.corollary <= 1.0
-        )
+        assert 0.0 < pair.theorem < 1.0
+        assert 0.0 < pair.corollary < 1.0
+        g, mu2, n = ctx.gamma_th, ctx.mu ** 2, ctx.n_users
+        first_order = ctx.n_ports * ((mu2 / (g + 1.0)) ** (n - 1)
+                                     + ((1.0 - mu2) / (g + 1.0)) ** (n - 1))
+        assert first_order <= 0.2
+        assert 1.0 - pair.corollary == pytest.approx(first_order, rel=1e-12)
 
     def test_wdt_approx_tracks_exact_at_high_threshold(self):
         # validity regime: threshold high enough that the per-port success
@@ -179,6 +185,25 @@ class TestIdetComposition:
         assert wet_dom.regime == "WET_DOMINANT"
         for approx in (wdt_dom, wet_dom):
             assert approx.value == pytest.approx(approx.wdt * approx.wet, rel=1e-12)
+
+    @pytest.mark.parametrize("n_users", [3, 5])
+    def test_special_single_port_matches_quadrature(self, n_users):
+        # at K = 1 the event is X < gamma Y and X + Y < t for independent
+        # X ~ chi2(2), Y ~ chi2(2(N-1)) in port-power units; N = 2 cannot
+        # tell the two conditioners apart, since both are chi2(2) there
+        cfg = SystemConfig(n_users=n_users, n_ports=1, fa_size=2.0,
+                           sinr_threshold=10 ** 0.3, ehp_threshold=0.030)
+        gamma, t = cfg.sinr_threshold, cfg.q_tilde
+        f_y = stats.chi2(2 * (n_users - 1)).pdf
+
+        def integrand(y):
+            return f_y(y) * -math.expm1(-0.5 * min(gamma * y, t - y))
+
+        kink = t / (1.0 + gamma)
+        want = sum(integrate.quad(integrand, a, b, epsabs=1e-13, epsrel=1e-12)[0]
+                   for a, b in ((0.0, kink), (kink, t)))
+        assert idet_special_exact(KernelContext.from_config(cfg)) == pytest.approx(
+            want, abs=1e-6)
 
     def test_special_approx_near_exact_when_one_side_dominates(self):
         ctx = ctx_from(n_users=6, n_ports=2, fa_size=1.0, sinr_threshold=100.0,

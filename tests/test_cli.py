@@ -183,6 +183,19 @@ class TestCliEntry:
         assert main(["compare", cfg, "--trials", "20000"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_compare_passes_at_zero_counts(self, tmp_path, capsys):
+        # both MC counts are 0 at the default 100k trials; EXACT is ~1e-8
+        cfg = write_cfg(tmp_path, """
+n_users = 3
+n_ports = 16
+fa_size = 2
+ehp_threshold = 20 mW
+sweep.metrics = WET_EHP:MC, WET_EHP:EXACT, IDET_SPECIAL:MC, IDET_SPECIAL:EXACT
+""")
+        assert main(["compare", cfg]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 2 and "MC=0 " in out
+
     def test_validation_exit_code(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, "sweep.values =\n", name="bad.cfg")
         assert main(["sweep", bad]) == 1

@@ -4,9 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from fama_idet.channel import SystemConfig
+from fama_idet.channel import (
+    SystemConfig,
+    generate_rayleigh,
+    generate_rician,
+    port_statistics,
+)
 from fama_idet.montecarlo import (
+    _blocks,
     Metric,
     Strategy,
     estimate_energy_efficiency,
@@ -17,6 +24,7 @@ from fama_idet.montecarlo import (
     multiplexing_gains,
     simulate_outage_counts,
     substream,
+    wilson_interval,
 )
 
 TRIALS = 40_000
@@ -120,8 +128,17 @@ class TestEstimates:
         assert est.metric is Metric.WDT_SINR
         assert est.trials == TRIALS
         assert 0.0 <= est.value <= 1.0
-        want_ci = 1.96 * math.sqrt(est.value * (1 - est.value) / TRIALS)
+        # Wilson score half-width
+        p, z2 = est.value, 1.96 ** 2
+        want_ci = 1.96 / (1 + z2 / TRIALS) * math.sqrt(
+            p * (1 - p) / TRIALS + z2 / (4 * TRIALS ** 2))
         assert est.ci_half_width == pytest.approx(want_ci, rel=1e-12)
+
+    def test_wilson_interval_keeps_width_at_extreme_counts(self):
+        lo, hi = wilson_interval(0, 100_000)
+        assert lo == 0.0 < hi
+        lo, hi = wilson_interval(100_000, 100_000)
+        assert lo < hi == 1.0
 
     def test_idet_kinds(self):
         cfg = cfg_small()
@@ -174,3 +191,46 @@ class TestIndependenceDiagnostic:
         rep = independence_diagnostic(cfg, 1000, seed=21)
         assert rep.trials == 1000
         assert rep.passed == (abs(rep.rank_correlation) < rep.threshold)
+
+
+class TestSamplerOracle:
+    """The group sampler against the explicit Gaussian composition.
+
+    The explicit route draws every port gain from its own normals
+    (``generate_rayleigh``/``generate_rician`` + ``port_statistics``); the
+    group sampler draws each antenna group's power directly.  Two-sample KS
+    tests compare port 0's X, Y and X/Y, and the best port's X/Y, which
+    depends on the components the ports share.
+    """
+
+    SAMPLES = 20_000
+
+    @pytest.mark.parametrize("n_users, rician_k, per_antenna", [
+        (2, 0.0, False), (3, 0.0, False), (5, 0.0, False),
+        (3, 2.0, False), (5, 0.0, True),
+    ])
+    def test_port_powers_match_explicit_composition(self, n_users, rician_k, per_antenna):
+        cfg = SystemConfig(n_users=n_users, n_ports=3, mu=0.8, rician_k=rician_k)
+        groups = (1,) * n_users if per_antenna else (1, n_users - 1)
+        p = np.concatenate(list(_blocks(cfg, self.SAMPLES, 31, 0, groups)))
+        x_fast, y_fast = p[:, :, 0], p[:, :, 1:].sum(axis=2)
+
+        phases = los_phases(cfg, seed=31)
+        rng = np.random.default_rng(32)
+        x_ref, y_ref = np.empty((2, self.SAMPLES, cfg.n_ports))
+        for i in range(self.SAMPLES):
+            real = (generate_rician(cfg, 0, phases, rng) if rician_k
+                    else generate_rayleigh(cfg, 0, rng))
+            ps = port_statistics(real, cfg)
+            x_ref[i], y_ref[i] = ps.x, ps.y
+        # port_statistics normalizes the powers by 1 - mu^2
+        x_ref *= 1.0 - cfg.mu ** 2
+        y_ref *= 1.0 - cfg.mu ** 2
+
+        for name, fast, ref in (
+            ("X", x_fast[:, 0], x_ref[:, 0]),
+            ("Y", y_fast[:, 0], y_ref[:, 0]),
+            ("X/Y", x_fast[:, 0] / y_fast[:, 0], x_ref[:, 0] / y_ref[:, 0]),
+            ("best X/Y", (x_fast / y_fast).max(axis=1), (x_ref / y_ref).max(axis=1)),
+        ):
+            assert stats.ks_2samp(fast, ref).pvalue > 1e-3, name
