@@ -1,12 +1,13 @@
 """Deterministic evaluation of the outage integrals and their closed forms.
 
-Every exact evaluator integrates the conditional noncentral chi-square
-structure of the port statistics: conditioned on the shared components
-(r1 for the desired link, r2 for the interference), per-port quantities
-are independent, so the K-port extremes reduce to K-th powers of inner
-one-port kernels.  Semi-infinite axes use Gauss-Laguerre after r = 2t,
-finite inner ranges use Gauss-Legendre, and the optional Richardson
-check re-evaluates at 1.5x nodes to bound the truncation error.
+Every exact evaluator but wdt_ehp_exact, a closed-form identity, integrates
+the conditional noncentral chi-square structure of the port statistics:
+conditioned on the shared components (r1 for the desired link, r2 for the
+interference), per-port quantities are independent, so the K-port extremes
+reduce to K-th powers of inner one-port kernels.  Semi-infinite axes use
+Gauss-Laguerre after r = 2t, finite inner ranges use Gauss-Legendre, and
+the optional Richardson check re-evaluates at 1.5x nodes to bound the
+truncation error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .specfun import bessel_i_ln, gamma_lower_reg, gamma_upper_reg, hyp1f1, marc
 
 # Inner kernels are clamped here before K*log(.) so the K-th power stays finite.
 _FLOOR = 1e-300
-# Per-axis node cap; keeps the 4-D evaluations at desk scale even with the
+# Per-axis node cap; keeps the 3-D evaluations at desk scale even with the
 # Richardson refinement (1.5x) applied on top of user-requested counts.
 _MAX_NODES = 100
 
@@ -135,11 +136,13 @@ def _ncx2_pdf(m: int, lam, x):
     x = np.asarray(x, dtype=float)
     # ive is e^{-|arg|} I; its scaling exponent is exactly the sqrt(lam x)
     # cross term of the completed square in the exponent
-    with np.errstate(divide="ignore"):
-        ln = np.log(sp.ive(m - 1, np.sqrt(lam * x))) - 0.5 * (np.sqrt(lam) - np.sqrt(x)) ** 2
-    if m > 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ln = ln + 0.5 * (m - 1) * (np.log(x) - np.log(lam))
+    expo = -0.5 * (np.sqrt(lam) - np.sqrt(x)) ** 2
+    if m == 1:
+        # i0e equals ive(0, .) to rounding and costs a fraction of it
+        return 0.5 * np.exp(expo) * sp.i0e(np.sqrt(lam * x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln = (np.log(sp.ive(m - 1, np.sqrt(lam * x))) + expo
+              + 0.5 * (m - 1) * (np.log(x) - np.log(lam)))
     return 0.5 * np.exp(ln)
 
 
@@ -398,55 +401,29 @@ def wet_sinr_approx(ctx: KernelContext) -> float:
 # WDT outage, WET-oriented port (decode at the max-power port)
 # ---------------------------------------------------------------------------
 
-def _wdt_ehp_raw(ctx: KernelContext, ns: int, nf: int) -> float:
-    n, kp, g, c = ctx.n_users, ctx.n_ports, ctx.gamma_th, ctx.corr_ratio
-    v1, w1 = _ncx2_quad(1, 0.0, ns)
-    v2, w2 = _ncx2_quad(n - 1, 0.0, ns)
-
-    # y carries its conditional pdf as a Laguerre weight matrix (j, p); the
-    # sqrt(y) kinks (Marcum b, Bessel arguments) need an oversampled axis
-    n_y = min(3 * ns, 150)
-    ty, logwy = _laguerre(n_y)
-    yq = 2.0 * ty
-    wy = np.exp(
-        logwy[None, :]
-        - 0.5 * c * v2[:, None]
-        + bessel_i_ln(n - 2, np.sqrt(2.0 * c * np.outer(v2, ty)))
-        + (0.5 * (n - 2) * (np.log(yq)[None, :] - np.log(c * v2)[:, None]) if n > 2 else 0.0)
-    )
-
-    st, wt = _legendre01(nf)                        # t = s * g * y
-    a = np.sqrt(c * (v1[:, None] + v2[None, :])).ravel()     # (i*j,)
-    f_x = _ncx2_pdf(1, (c * v1)[:, None, None], g * np.outer(yq, st)[None, :, :])  # (i,p,q)
-
-    total = 0.0
-    # bound the Marcum matrix at ~8M entries per chunk
-    chunk = max(1, 8_000_000 // (a.size * nf))
-    for p0 in range(0, n_y, chunk):
-        p1 = min(n_y, p0 + chunk)
-        yp = yq[p0:p1]
-        b = np.sqrt(yp[:, None] * (1.0 + g * st[None, :]))   # (pc, q)
-        qm = marcum_q_outer(n, a, b.ravel()).reshape(ns, ns, p1 - p0, nf)
-        fb = _pow_k(1.0 - qm, kp - 1)
-        total += np.einsum(
-            "i,j,jp,ijpq,ipq,q,p->",
-            w1, w2, wy[:, p0:p1], fb, f_x[:, p0:p1, :], wt, g * yp,
-        )
-    return kp * float(total)
-
-
 def wdt_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Probability the power-optimal port decodes below gamma_th."""
+    """Probability the power-optimal port decodes below gamma_th.
+
+    Exact for Rayleigh fading in closed form: a common unitary rotation of
+    h0 and every e_k keeps their joint law and every port norm, so the
+    max-power port's gain vector has a uniform direction independent of its
+    norm, X/(X+Y) ~ Beta(1, N-1) and the outage is 1 - (1+gamma_th)^-(N-1)
+    at every K and mu.  LoS breaks that isotropy, so Rician input is
+    refused.  `quad` is unused; it keeps the evaluators' common signature.
+    """
     if not 0.0 < ctx.mu < 1.0:
         raise ValueError("wdt_ehp_exact requires mu in (0, 1)")
-    _check_nodes(quad.nodes_semiinfinite, quad.nodes_finite)
-    return _with_richardson(
-        lambda ns, nf: _wdt_ehp_raw(ctx, ns, nf), quad, "wdt_ehp_exact"
-    )
+    if ctx.rician_k > 0.0:
+        raise ValueError(
+            "wdt_ehp_exact holds only for Rayleigh fading (rician_k = 0); "
+            "there is no rician_wdt_ehp_exact evaluator"
+        )
+    return 1.0 - (ctx.gamma_th + 1.0) ** (1 - ctx.n_users)
 
 
 def wdt_ehp_approx(ctx: KernelContext) -> float:
-    """Large-W closed form; selection decouples from the SIR."""
+    """Closed form 1 - (1+gamma_th)^-(N-1); exact for Rayleigh fading at
+    every W and K (see wdt_ehp_exact), not only at large W."""
     return 1.0 - (ctx.gamma_th + 1.0) ** (1 - ctx.n_users)
 
 

@@ -95,12 +95,15 @@ def substream(seed: int, cell: int, block) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def los_phases(cfg: SystemConfig, seed: int, cell: int = 0) -> np.ndarray:
-    """Per-scenario LoS phases, fixed across trials for a given seed."""
+def los_phases(cfg: SystemConfig, seed: int, cell: int = 0,
+               n_antennas: int | None = None) -> np.ndarray:
+    """Per-scenario LoS phases, fixed across trials for a given seed, one per
+    antenna (`n_antennas`, by default cfg.n_users).  The draws fill in order,
+    so a longer draw extends a shorter one."""
     rng = np.random.Generator(np.random.Philox(
         key=np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), _PHASE_BLOCK],
                      dtype=np.uint64)))
-    return rng.uniform(0.0, 2.0 * math.pi, size=cfg.n_users)
+    return rng.uniform(0.0, 2.0 * math.pi, size=n_antennas or cfg.n_users)
 
 
 def _blocks(cfg, trials, seed, cell, groups):
@@ -120,7 +123,8 @@ def _blocks(cfg, trials, seed, cell, groups):
     starts = np.cumsum((0, *groups[:-1]))
     los = 0.0
     if cfg.rician_k > 0.0:
-        phases = los_phases(cfg, seed, cell)[:n]
+        # nested N may sum more antennas than the config's n_users
+        phases = los_phases(cfg, seed, cell, max(cfg.n_users, n))[:n]
         los = math.sqrt(cfg.rician_k) * np.stack([np.cos(phases), np.sin(phases)])[:, None]
     for b in range((trials + BLOCK - 1) // BLOCK):
         size = min(BLOCK, trials - b * BLOCK)

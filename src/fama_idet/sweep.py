@@ -176,20 +176,28 @@ _EXACT_RAYLEIGH = {
 }
 
 
-def _exact_value(ctx: KernelContext, metric: Metric) -> float:
+def _exact_value(ctx: KernelContext, metric: Metric, known: dict) -> float:
+    """EXACT value of `metric`.  `known` holds the cell's values computed so
+    far; successes are added to it, so IDET_GENERAL reuses its three parts
+    and a part that raised is evaluated (and raises) again."""
+    if metric in known:
+        return known[metric]
     if ctx.rician_k > 0.0:
         if metric is Metric.WDT_SINR:
-            return analytic.rician_wdt_sinr_exact(ctx)
-        if metric is Metric.WET_EHP:
-            return analytic.rician_wet_ehp_exact(ctx)
-        raise ValueError(f"no exact Rician expression for {metric.value}")
-    if metric is Metric.IDET_GENERAL:
-        return analytic.idet_general(
-            analytic.wdt_sinr_exact(ctx),
-            analytic.wet_ehp_exact(ctx),
-            analytic.idet_special_exact(ctx),
-        )
-    return _EXACT_RAYLEIGH[metric](ctx)
+            v = analytic.rician_wdt_sinr_exact(ctx)
+        elif metric is Metric.WET_EHP:
+            v = analytic.rician_wet_ehp_exact(ctx)
+        else:
+            raise ValueError(f"no exact Rician expression for {metric.value}")
+    elif metric is Metric.IDET_GENERAL:
+        v = analytic.idet_general(*(
+            _exact_value(ctx, m, known)
+            for m in (Metric.WDT_SINR, Metric.WET_EHP, Metric.IDET_SPECIAL)
+        ))
+    else:
+        v = _EXACT_RAYLEIGH[metric](ctx)
+    known[metric] = v
+    return v
 
 
 def _closed_form_value(ctx: KernelContext, metric: Metric) -> float:
@@ -243,13 +251,15 @@ def _evaluate_cell(spec: SweepSpec, idx: int, value) -> list[dict]:
             rows.append(_row(axis_label, m, Method.MC, counts[m] / spec.trials,
                              0.5 * (hi - lo), spec.trials,
                              mc_seconds if spec.timing else None, ""))
+    exact = {}      # this cell's EXACT values, shared with IDET_GENERAL
     for m, meth in spec.metrics:
         if meth is Method.MC:
             continue
         t0 = time.perf_counter()
         try:
             ctx = KernelContext.from_config(cfg)
-            v = _exact_value(ctx, m) if meth is Method.EXACT else _closed_form_value(ctx, m)
+            v = (_exact_value(ctx, m, exact) if meth is Method.EXACT
+                 else _closed_form_value(ctx, m))
             err = ""
         except Exception as exc:
             v, err = math.nan, _error_kind(exc)

@@ -29,7 +29,7 @@ from fama_idet.analytic import (
     wet_sinr_exact,
 )
 from fama_idet.channel import SystemConfig
-from fama_idet.montecarlo import Metric, simulate_outage_counts
+from fama_idet.montecarlo import Metric, simulate_outage_counts, wilson_interval
 from fama_idet.specfun import gamma_lower_reg
 
 
@@ -78,6 +78,20 @@ class TestExactVsMonteCarlo:
         mc, ci = small_mc[Metric.IDET_GENERAL]
         assert abs(value - mc) <= 3.0 * ci
 
+    @pytest.mark.parametrize("fa_size", [0.3, 5.0])
+    @pytest.mark.parametrize("n_ports", [1, 16, 64])
+    @pytest.mark.parametrize("n_users", [3, 5])
+    def test_wdt_ehp_identity_at_every_w_and_k(self, n_users, n_ports, fa_size):
+        # the closed form is exact for Rayleigh, not a large-W limit: W = 0.3
+        # gives mu = 0.93, where the ports share most of their gain; the
+        # threshold puts every cell's outage at 1/2, far from both ends
+        cfg = SystemConfig(n_users=n_users, n_ports=n_ports, fa_size=fa_size,
+                           sinr_threshold=2.0 ** (1.0 / (n_users - 1)) - 1.0)
+        trials = 20_000
+        count = simulate_outage_counts(cfg, trials, seed=43)["counts"][Metric.WDT_EHP]
+        lo, hi = wilson_interval(count, trials, 3.0 * 1.96)
+        assert lo <= wdt_ehp_exact(KernelContext.from_config(cfg)) <= hi
+
 
 class TestEdgeCases:
     def test_wet_thresholds_degenerate(self):
@@ -101,6 +115,11 @@ class TestEdgeCases:
                    wdt_ehp_exact, idet_special_exact):
             with pytest.raises(ValueError):
                 fn(ctx)
+
+    def test_wdt_ehp_refuses_rician(self):
+        # LoS breaks the isotropy the closed-form identity rests on
+        with pytest.raises(ValueError, match="rician_wdt_ehp_exact"):
+            wdt_ehp_exact(ctx_from(**SMALL, rician_k=2.0))
 
     def test_node_cap_enforced(self):
         quad = QuadratureSpec(nodes_semiinfinite=150, richardson_check=False)
@@ -140,14 +159,14 @@ class TestClosedForms:
         assert wet_sinr_approx(ctx) == pytest.approx(want, rel=1e-12)
 
     def test_small_mu_limits(self):
-        # at mu = 0.05 selection decouples; closed forms within 2 percent
+        # at mu = 0.05 selection decouples; closed form within 2 percent
+        # (wdt_ehp_approx is exact at every mu: see
+        # TestExactVsMonteCarlo::test_wdt_ehp_identity_at_every_w_and_k)
         cfg = dict(n_users=3, n_ports=4, mu=0.05, fa_size=1.0,
                    ehp_threshold=0.012, sinr_threshold=2.0)
         ctx = ctx_from(**cfg)
         wet = wet_sinr_exact(ctx)
         assert wet_sinr_approx(ctx) == pytest.approx(wet, rel=0.02)
-        wdt = wdt_ehp_exact(ctx)
-        assert wdt_ehp_approx(ctx) == pytest.approx(wdt, rel=0.02)
 
     def test_wdt_ehp_approx_formula(self):
         ctx = ctx_from(**SMALL, sinr_threshold=3.0)

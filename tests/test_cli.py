@@ -3,9 +3,12 @@
 import json
 import math
 import os
+from collections import Counter
 
 import pytest
 
+from fama_idet import analytic, sweep
+from fama_idet.analytic import DEFAULT_QUAD, QuadratureConvergenceError
 from fama_idet.cli import main
 from fama_idet.montecarlo import Method, Metric
 from fama_idet.sweep import (
@@ -30,6 +33,27 @@ sweep.axis = sinr_threshold
 sweep.values = 0 dB, 3 dB
 sweep.metrics = WDT_SINR:MC, WDT_SINR:EXACT, WET_EHP:MC, WET_EHP:EXACT
 """
+
+
+def _with_metrics(metrics):
+    return BASE_CFG.replace(
+        "sweep.metrics = WDT_SINR:MC, WDT_SINR:EXACT, WET_EHP:MC, WET_EHP:EXACT",
+        f"sweep.metrics = {metrics}")
+
+
+def _count_exact_calls(monkeypatch, fail=None):
+    """Count the calls per Rayleigh EXACT evaluator, by the sweep's table or
+    by module attribute; `fail` raises instead."""
+    calls = Counter()
+    for metric, fn in list(sweep._EXACT_RAYLEIGH.items()):
+        def counted(ctx, quad=DEFAULT_QUAD, fn=fn, metric=metric):
+            calls[metric] += 1
+            if metric is fail:
+                raise QuadratureConvergenceError(f"{metric.value}: forced")
+            return fn(ctx, quad)
+        monkeypatch.setitem(sweep._EXACT_RAYLEIGH, metric, counted)
+        monkeypatch.setattr(analytic, fn.__name__, counted)
+    return calls
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -116,6 +140,27 @@ class TestRunSweep:
         assert all(r["value"] == "NaN" and r["error"] == "unsupported" for r in bad)
         good = [r for r in result.rows if r["method"] == "MC"]
         assert all(not r["error"] for r in good)
+
+    def test_idet_general_reuses_cell_values(self, monkeypatch):
+        calls = _count_exact_calls(monkeypatch)
+        parts = "WDT_SINR:EXACT, WET_EHP:EXACT, IDET_SPECIAL:EXACT"
+        joint = run_sweep(spec_from_config(_with_metrics(
+            f"IDET_GENERAL:EXACT, {parts}"))).rows
+        # two cells, each part evaluated once though IDET_GENERAL needs all three
+        assert calls == {m: 2 for m in (Metric.WDT_SINR, Metric.WET_EHP,
+                                        Metric.IDET_SPECIAL)}
+        alone = [run_sweep(spec_from_config(_with_metrics(m))).rows
+                 for m in ["IDET_GENERAL:EXACT", *parts.split(", ")]]
+        assert joint == [rows[cell] for cell in range(2) for rows in alone]
+
+    def test_failed_part_fails_idet_general_again(self, monkeypatch):
+        calls = _count_exact_calls(monkeypatch, fail=Metric.WET_EHP)
+        rows = run_sweep(spec_from_config(_with_metrics(
+            "WET_EHP:EXACT, IDET_GENERAL:EXACT, WDT_SINR:EXACT"))).rows
+        assert [r["error"] for r in rows] == ["convergence", "convergence", ""] * 2
+        # a failure is not kept: IDET_GENERAL evaluates the part again
+        assert calls[Metric.WET_EHP] == 4
+        assert calls[Metric.WDT_SINR] == 2
 
     def test_rician_metadata_note(self):
         result = run_sweep(spec_from_config(BASE_CFG + "rician_k = 2\n"))

@@ -115,6 +115,19 @@ class TestNestedSweeps:
         assert all(a <= b for a, b in zip(wdt, wdt[1:]))   # more interference
         assert all(a >= b for a, b in zip(wet, wet[1:]))   # more harvested power
 
+    def test_nested_n_beyond_n_users_rician(self):
+        # the LoS phases cover every antenna the nested sweep sums; the
+        # first n_users of them are the phases a plain run draws
+        cfg = SystemConfig(n_users=3, n_ports=4, rician_k=2.0)
+        np.testing.assert_array_equal(los_phases(cfg, seed=1, n_antennas=4)[:3],
+                                      los_phases(cfg, seed=1))
+        res = simulate_outage_counts(cfg, 2000, seed=1, n_values=[2, 3, 4])
+        wdt = res["nested"][Metric.WDT_SINR]
+        assert all(a <= b for a, b in zip(wdt, wdt[1:]))
+        # the plain Rician counts as drawn before the phase draw was widened
+        plain = simulate_outage_counts(cfg, 2000, seed=1)["counts"]
+        assert [plain[m] for m in Metric] == [1395, 103, 1838, 0, 0, 1395]
+
     def test_nesting_both_axes_rejected(self):
         with pytest.raises(ValueError):
             simulate_outage_counts(cfg_small(), TRIALS, seed=0,
