@@ -5,21 +5,24 @@ number of UEs enters through the interference dimensionality.  Port
 powers are drawn per antenna group, as noncentral chi-square variables
 given the components all ports share.  Trials run in fixed-size blocks,
 each block on its own counter-derived Philox substream, which makes every
-estimate a pure function of (config, seed) regardless of scheduling.
+estimate a pure function of (config, seed) regardless of scheduling; the
+blocks of one estimate run on a thread per CPU.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as st
 
 from .channel import SystemConfig
 
 BLOCK = 8192
+CHUNK = 1024  # trials per scratch and reduction chunk: temporaries stay CHUNK x K
 _PHASE_BLOCK = np.uint64(0xFFFFFFFFFFFFFFFF)  # reserved substream for LoS phases
 
 
@@ -30,6 +33,10 @@ class Metric(enum.Enum):
     WET_EHP = "WET_EHP"
     IDET_SPECIAL = "IDET_SPECIAL"
     IDET_GENERAL = "IDET_GENERAL"
+
+
+# the max-based metrics, which nested K and N sweeps count per swept value
+_NESTED = (Metric.WDT_SINR, Metric.WET_EHP, Metric.IDET_SPECIAL, Metric.IDET_GENERAL)
 
 
 class Method(enum.Enum):
@@ -95,26 +102,38 @@ def substream(seed: int, cell: int, block) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def los_phases(cfg: SystemConfig, seed: int, cell: int = 0,
-               n_antennas: int | None = None) -> np.ndarray:
-    """Per-scenario LoS phases, fixed across trials for a given seed, one per
-    antenna (`n_antennas`, by default cfg.n_users).  The draws fill in order,
-    so a longer draw extends a shorter one."""
+def los_phases(cfg: SystemConfig, seed: int, n_antennas: int | None = None) -> np.ndarray:
+    """LoS phases, one per antenna (`n_antennas`, by default cfg.n_users).
+
+    They are fixed per (config, seed): every trial, block and cell of a sweep
+    shares them.  The draws fill in order, so a longer draw extends a shorter
+    one."""
     rng = np.random.Generator(np.random.Philox(
         key=np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), _PHASE_BLOCK],
                      dtype=np.uint64)))
     return rng.uniform(0.0, 2.0 * math.pi, size=n_antennas or cfg.n_users)
 
 
-def _blocks(cfg, trials, seed, cell, groups):
-    """Yield UE 0's port powers summed per antenna group, one block of trials
-    at a time, each block of shape (size, K, len(groups)) on its own substream.
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-    Group g is the next ``groups[g]`` antennas; group 0 is antenna 0, the
-    desired link.  Given the shared means m_n = mu h0_n + sqrt(kappa) e^{j phi_n},
-    a group of G antennas gives each port the power (s Z + |m|)^2 + s^2 C with
-    |m|^2 = sum |m_n|^2, s^2 = 1 - mu^2, Z ~ N(0, 1) and C ~ chi2(2G - 1),
-    drawn as a squared normal when G = 1.
+
+def _blocks(cfg, trials, seed, cell, groups, reduce):
+    """Map `reduce` over UE 0's port powers summed per antenna group, one
+    block of trials at a time; return its results in block order.
+
+    Each block, of shape (size, K, len(groups)), is drawn on its own
+    substream, so the blocks are independent and run on one thread per CPU
+    with the same results at any thread count.  Group g is the next
+    ``groups[g]`` antennas; group 0 is antenna 0, the desired link.  Given the
+    shared means m_n = mu h0_n + sqrt(kappa) e^{j phi_n}, a group of G antennas
+    gives each port the power (s Z + |m|)^2 + s^2 C with |m|^2 = sum |m_n|^2,
+    s^2 = 1 - mu^2, Z ~ N(0, 1) and C ~ chi2(2G - 1), drawn as a squared
+    normal when G = 1.
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
@@ -124,19 +143,43 @@ def _blocks(cfg, trials, seed, cell, groups):
     los = 0.0
     if cfg.rician_k > 0.0:
         # nested N may sum more antennas than the config's n_users
-        phases = los_phases(cfg, seed, cell, max(cfg.n_users, n))[:n]
+        phases = los_phases(cfg, seed, max(cfg.n_users, n))[:n]
         los = math.sqrt(cfg.rician_k) * np.stack([np.cos(phases), np.sin(phases)])[:, None]
-    for b in range((trials + BLOCK - 1) // BLOCK):
+
+    def run(b):
         size = min(BLOCK, trials - b * BLOCK)
         rng = substream(seed, cell, b)
         h = mu * rng.standard_normal((2, size, n)) + los
         m = np.sqrt(np.add.reduceat(h[0] ** 2 + h[1] ** 2, starts, axis=1))
-        p = (s * rng.standard_normal((size, k, len(groups))) + m[:, None, :]) ** 2
+        # drawn in place, C in row chunks, so a block holds one (size, K, groups) array
+        p = rng.standard_normal((size, k, len(groups)))
+        p *= s
+        p += m[:, None, :]
+        np.square(p, out=p)
+        scratch = np.empty((min(CHUNK, size), k))
         for g, width in enumerate(groups):
-            c = (rng.standard_normal((size, k)) ** 2 if width == 1
-                 else rng.chisquare(2 * width - 1, (size, k)))
-            p[:, :, g] += s * s * c
-        yield p
+            for rows in _row_chunks(size):
+                c = scratch[:rows.stop - rows.start]
+                if width == 1:
+                    np.square(rng.standard_normal(out=c), out=c)
+                else:  # chisquare(df) is 2 standard_gamma(df / 2), bit for bit
+                    rng.standard_gamma(width - 0.5, out=c)
+                    c *= 2.0
+                c *= s * s
+                p[rows, :, g] += c
+        return reduce(p)
+
+    n_blocks = (trials + BLOCK - 1) // BLOCK
+    threads = min(n_blocks, _cpus())
+    if threads == 1:
+        return [run(b) for b in range(n_blocks)]
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(run, range(n_blocks)))
+
+
+def _row_chunks(size):
+    """Slices of at most CHUNK trials covering a block of `size` trials."""
+    return [slice(r, min(r + CHUNK, size)) for r in range(0, size, CHUNK)]
 
 
 def _sinr_q(desired, interf, q_scale):
@@ -172,27 +215,28 @@ def simulate_outage_counts(
     q_th = cfg.ehp_threshold
     # nested N sums per-antenna powers cumulatively, so each antenna is a group
     groups = (1,) * max(n_values) if n_values else (1, cfg.n_users - 1)
+    nested_values = k_values or n_values
 
-    counts = {m: 0 for m in Metric}
-    nested = None
-    if k_values or n_values:
-        nested = {m: np.zeros(len(k_values or n_values), dtype=np.int64)
-                  for m in (Metric.WDT_SINR, Metric.WET_EHP,
-                            Metric.IDET_SPECIAL, Metric.IDET_GENERAL)}
+    def reduce(p):
+        counts = dict.fromkeys(Metric, 0)
+        nested = ({m: np.zeros(len(nested_values), dtype=np.int64) for m in _NESTED}
+                  if nested_values else None)
+        for rows in _row_chunks(len(p)):
+            chunk = p[rows]
+            if n_values:
+                _count_nested_n(chunk, n_values, gamma, q_scale, q_th, nested)
+                continue
+            sinr, q = _sinr_q(chunk[:, :, 0], chunk[:, :, 1], q_scale)
+            if k_values:
+                _count_nested_k(sinr, q, k_values, gamma, q_th, nested)
+            _count_full(sinr, q, gamma, q_th, counts)
+        return counts, nested
 
-    for p in _blocks(cfg, trials, seed, cell, groups):
-        if n_values:
-            _count_nested_n(p, n_values, gamma, q_scale, q_th, nested)
-            continue
-        sinr, q = _sinr_q(p[:, :, 0], p[:, :, 1], q_scale)
-        if k_values:
-            _count_nested_k(sinr, q, k_values, gamma, q_th, nested)
-        _count_full(sinr, q, gamma, q_th, counts)
-
-    out = {"counts": counts, "trials": trials}
-    if nested is not None:
-        out["nested"] = nested
-        out["nested_values"] = list(k_values or n_values)
+    blocks = _blocks(cfg, trials, seed, cell, groups, reduce)
+    out = {"counts": {m: sum(c[m] for c, _ in blocks) for m in Metric}, "trials": trials}
+    if nested_values:
+        out["nested"] = {m: sum(nb[m] for _, nb in blocks) for m in _NESTED}
+        out["nested_values"] = list(nested_values)
     return out
 
 
@@ -307,18 +351,22 @@ def estimate_energy_efficiency(
     n = cfg.n_users
     base_power = n * cfg.tx_power + cfg.fixed_power
 
-    rate_sums, q_sums, ratio_sums = [], [], []
-    for p in _blocks(cfg, trials, seed, cell, (1, n - 1)):
-        sinr, q = _sinr_q(p[:, :, 0], p[:, :, 1], q_scale)
-        rows = np.arange(len(p))
-        idx = np.argmax(sinr if strategy is Strategy.WDT else q, axis=1)
-        sel_rate = np.log2(1.0 + sinr[rows, idx])
-        sel_q = q[rows, idx]
-        rate_sums.append(float(sel_rate.sum()))
-        q_sums.append(float(sel_q.sum()))
+    def reduce(p):
+        # gather the selected port's SINR and power chunk by chunk, then sum
+        # over the whole block, so the float sums do not depend on CHUNK
+        sel_sinr, sel_q = np.empty((2, len(p)))
+        for rows in _row_chunks(len(p)):
+            sinr, q = _sinr_q(p[rows, :, 0], p[rows, :, 1], q_scale)
+            idx = np.argmax(sinr if strategy is Strategy.WDT else q, axis=1)
+            picked = np.arange(len(idx))
+            sel_sinr[rows] = sinr[picked, idx]
+            sel_q[rows] = q[picked, idx]
+        sel_rate = np.log2(1.0 + sel_sinr)
         denom = base_power - n * sel_q
-        ratio_sums.append(float((n * cfg.bandwidth * sel_rate / denom).sum()))
+        return (float(sel_rate.sum()), float(sel_q.sum()),
+                float((n * cfg.bandwidth * sel_rate / denom).sum()))
 
+    rate_sums, q_sums, ratio_sums = zip(*_blocks(cfg, trials, seed, cell, (1, n - 1), reduce))
     mean_rate = math.fsum(rate_sums) / trials
     mean_q = math.fsum(q_sums) / trials
     sum_rate = n * cfg.bandwidth * mean_rate
@@ -345,8 +393,11 @@ def independence_diagnostic(
     At mu = 0 the two are exactly independent; the diagnostic passes when
     |corr| < 3 / sqrt(trials).  Any mu is accepted for informational runs.
     """
-    blocks = _blocks(replace(cfg, n_ports=1), trials, seed, cell, (1, cfg.n_users - 1))
-    x, y = np.concatenate(list(blocks))[:, 0].T
-    corr = float(st.spearmanr(x + y, x / y).statistic)
+    from scipy import stats  # slow to import, and only this diagnostic needs it
+
+    blocks = _blocks(replace(cfg, n_ports=1), trials, seed, cell, (1, cfg.n_users - 1),
+                     lambda p: p[:, 0])
+    x, y = np.concatenate(blocks).T
+    corr = float(stats.spearmanr(x + y, x / y).statistic)
     threshold = 3.0 / math.sqrt(trials)
     return IndependenceReport(corr, threshold, abs(corr) < threshold, trials)

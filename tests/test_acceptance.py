@@ -31,6 +31,7 @@ from fama_idet.montecarlo import (
     Metric,
     independence_diagnostic,
     simulate_outage_counts,
+    wilson_interval,
 )
 from fama_idet.specfun import (
     gamma_lower_reg,
@@ -47,16 +48,12 @@ def report(criterion: str, passed: bool, detail: str) -> None:
     assert passed, line
 
 
-def mc_cells(cfg, trials, seed):
+def mc_cells(cfg, trials, seed, z):
+    """Each metric's MC Wilson interval at `z`, which keeps its width at
+    counts of 0 and `trials`, where a Wald interval would reject true
+    rare-event rates."""
     counts = simulate_outage_counts(cfg, trials, seed=seed)["counts"]
-    out = {}
-    for m, c in counts.items():
-        p = c / trials
-        # Laplace-smoothed CI: the Wald interval collapses to zero width at
-        # counts of 0 or trials, which would reject true rare-event rates
-        q = (c + 1) / (trials + 2)
-        out[m] = (p, 1.96 * math.sqrt(q * (1 - q) / trials))
-    return out
+    return {m: wilson_interval(c, trials, z) for m, c in counts.items()}
 
 
 def test_criterion_1_special_function_identities():
@@ -88,7 +85,8 @@ def test_criterion_1_special_function_identities():
 
 
 def test_criterion_2_mc_exact_equivalence_rayleigh():
-    """Six metrics, two scenarios, five threshold points, 3-CI agreement."""
+    """Six metrics, two scenarios, five threshold points, each EXACT value
+    inside the MC rate's Wilson interval at z = 3 * 1.96."""
     t0 = time.perf_counter()
     scenarios = [
         dict(n_users=2, n_ports=2, fa_size=1.0),
@@ -104,7 +102,7 @@ def test_criterion_2_mc_exact_equivalence_rayleigh():
         for ti, (gamma_db, q_th) in enumerate(thresholds):
             cfg = SystemConfig(**base, sinr_threshold=10 ** (gamma_db / 10.0),
                                ehp_threshold=q_th)
-            cells = mc_cells(cfg, trials, seed=1000 + 10 * si + ti)
+            cells = mc_cells(cfg, trials, seed=1000 + 10 * si + ti, z=3.0 * 1.96)
             ctx = KernelContext.from_config(cfg)
             wdt = wdt_sinr_exact(ctx)
             wet = wet_ehp_exact(ctx)
@@ -118,9 +116,9 @@ def test_criterion_2_mc_exact_equivalence_rayleigh():
                 Metric.IDET_GENERAL: idet_general(wdt, wet, special),
             }
             for m, value in exact.items():
-                p, ci = cells[m]
+                lo, hi = cells[m]
                 total += 1
-                if abs(value - p) <= 3.0 * ci:
+                if lo <= value <= hi:
                     agree += 1
                 else:
                     failures.append(f"{m.value}@cfg{si}/{gamma_db}dB")
@@ -129,7 +127,7 @@ def test_criterion_2_mc_exact_equivalence_rayleigh():
     report(
         "criterion 2 (MC vs quadrature, Rayleigh)",
         frac >= 0.95 and elapsed < 600.0,
-        f"{agree}/{total} cells within 3 CI ({frac:.1%}, gate 95%), "
+        f"{agree}/{total} cells inside the z=3*1.96 Wilson interval ({frac:.1%}, gate 95%), "
         f"runtime {elapsed:.0f}s (gate 600s)"
         + (f", misses: {failures}" if failures else ""),
     )
@@ -200,19 +198,18 @@ def test_criterion_4_independence_and_decoupled_forms():
         SystemConfig(n_users=5, n_ports=2, fa_size=1.0, mu=0.0), trials, seed=400
     )
     cfg = SystemConfig()  # W = 5 reference scenario
-    cells = mc_cells(cfg, trials, seed=401)
+    cells = mc_cells(cfg, trials, seed=401, z=3.0)
     ctx = KernelContext.from_config(cfg)
     checks = []
     for metric, approx in ((Metric.WET_SINR, wet_sinr_approx(ctx)),
                            (Metric.WDT_EHP, wdt_ehp_approx(ctx))):
-        p, ci = cells[metric]
-        sigma = ci / 1.96
-        checks.append(abs(approx - p) <= 3.0 * sigma)
+        lo, hi = cells[metric]
+        checks.append(lo <= approx <= hi)
     report(
         "criterion 4 (independence and decoupled closed forms)",
         rep.passed and all(checks),
         f"rank corr {rep.rank_correlation:.2e} (gate {rep.threshold:.2e}); "
-        f"closed forms within 3 sigma of MC at W=5: {checks}",
+        f"closed forms inside the z=3 Wilson interval of MC at W=5: {checks}",
     )
 
 

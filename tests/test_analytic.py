@@ -49,8 +49,8 @@ def small_ctx():
 def small_mc():
     trials = 150_000
     counts = simulate_outage_counts(SystemConfig(**SMALL), trials, seed=101)["counts"]
-    return {m: (c / trials, 1.96 * math.sqrt((c / trials) * (1 - c / trials) / trials))
-            for m, c in counts.items()}
+    # the gate of `fama-idet compare`: the Wilson interval at z = 3 * 1.96
+    return {m: wilson_interval(c, trials, 3.0 * 1.96) for m, c in counts.items()}
 
 
 EXACTS = {
@@ -65,9 +65,8 @@ EXACTS = {
 class TestExactVsMonteCarlo:
     @pytest.mark.parametrize("metric", list(EXACTS))
     def test_small_config(self, metric, small_ctx, small_mc):
-        value = EXACTS[metric](small_ctx)
-        mc, ci = small_mc[metric]
-        assert abs(value - mc) <= 3.0 * ci
+        lo, hi = small_mc[metric]
+        assert lo <= EXACTS[metric](small_ctx) <= hi
 
     def test_idet_general_matches(self, small_ctx, small_mc):
         value = idet_general(
@@ -75,8 +74,8 @@ class TestExactVsMonteCarlo:
             wet_ehp_exact(small_ctx),
             idet_special_exact(small_ctx),
         )
-        mc, ci = small_mc[Metric.IDET_GENERAL]
-        assert abs(value - mc) <= 3.0 * ci
+        lo, hi = small_mc[Metric.IDET_GENERAL]
+        assert lo <= value <= hi
 
     @pytest.mark.parametrize("fa_size", [0.3, 5.0])
     @pytest.mark.parametrize("n_ports", [1, 16, 64])
@@ -253,9 +252,8 @@ class TestRician:
         ctx = KernelContext.from_config(cfg)
         for metric, fn in ((Metric.WDT_SINR, rician_wdt_sinr_exact),
                            (Metric.WET_EHP, rician_wet_ehp_exact)):
-            mc = counts[metric] / trials
-            ci = 1.96 * math.sqrt(mc * (1 - mc) / trials)
-            assert abs(fn(ctx) - mc) <= 3.0 * ci
+            lo, hi = wilson_interval(counts[metric], trials, 3.0 * 1.96)
+            assert lo <= fn(ctx) <= hi
 
 
 class TestContext:

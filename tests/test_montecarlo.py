@@ -1,11 +1,17 @@
 """Monte-Carlo engine: determinism, count identities, orderings."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import fama_idet
+from fama_idet import montecarlo
 from fama_idet.channel import (
     SystemConfig,
     generate_rayleigh,
@@ -67,6 +73,67 @@ class TestDeterminism:
     def test_min_trials_enforced(self):
         with pytest.raises(ValueError):
             simulate_outage_counts(cfg_small(), 999, seed=0)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about half of the package's import time; only
+        # independence_diagnostic needs it, and it imports it when called
+        src = str(Path(fama_idet.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, fama_idet, fama_idet.cli; "
+                "print('scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.strip() == "False"
+
+
+class TestPinnedStream:
+    """Pinned MC values of a cell of two full blocks and a partial third.
+
+    A change of the sampling stream fails here, and so does a result that
+    depends on the number of threads the blocks run on.
+    """
+
+    TRIALS = 20_000
+    CFG = dict(n_users=3, n_ports=16, fa_size=2.0, ehp_threshold=0.05)
+
+    @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}cpu")
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: request.param)
+        return request.param
+
+    def test_counts(self, cpus):
+        cfg = SystemConfig(**self.CFG)
+        full = simulate_outage_counts(cfg, self.TRIALS, seed=17, cell=2)["counts"]
+        assert [full[m] for m in Metric] == [3362, 17588, 17777, 2803, 400, 5765]
+
+        res = simulate_outage_counts(cfg, self.TRIALS, seed=17, cell=2, k_values=[1, 4, 16])
+        assert res["counts"] == full
+        assert {m.name: res["nested"][m].tolist() for m in res["nested"]} == {
+            "WDT_SINR": [17760, 12448, 3362], "WET_EHP": [17457, 11749, 2803],
+            "IDET_SPECIAL": [15513, 7321, 400], "IDET_GENERAL": [19704, 16876, 5765]}
+
+        cfg_n = SystemConfig(**{**self.CFG, "n_users": 5, "n_ports": 4})
+        res = simulate_outage_counts(cfg_n, self.TRIALS, seed=17, cell=3, n_values=[2, 3, 5])
+        assert {m.name: res["nested"][m].tolist() for m in res["nested"]} == {
+            "WDT_SINR": [4098, 12608, 19050], "WET_EHP": [16958, 11788, 2017],
+            "IDET_SPECIAL": [3420, 7378, 1916], "IDET_GENERAL": [17636, 17018, 19151]}
+
+        cfg_r = SystemConfig(**self.CFG, rician_k=2.0)
+        rician = simulate_outage_counts(cfg_r, self.TRIALS, seed=17, cell=4)["counts"]
+        assert [rician[m] for m in Metric] == [6386, 18391, 18508, 5534, 1507, 10413]
+
+    def test_energy_efficiency(self, cpus):
+        cfg = SystemConfig(**self.CFG)
+        for strategy, want in (
+            (Strategy.WDT, (7287087.412217705, 0.08853942670483804, 3.411460573295162,
+                            2136060.8618082423, 2136734.7122655874)),
+            (Strategy.WET, (2181727.448517076, 0.20051390711660882, 3.299486092883391,
+                            661232.5032140033, 661348.9137326585)),
+        ):
+            rep = estimate_energy_efficiency(cfg, strategy, self.TRIALS, seed=17, cell=5)
+            assert (rep.sum_rate, rep.harvested, rep.total_power, rep.ee,
+                    rep.ee_mean_of_ratios) == want
 
 
 class TestCountIdentities:
@@ -225,7 +292,7 @@ class TestSamplerOracle:
     def test_port_powers_match_explicit_composition(self, n_users, rician_k, per_antenna):
         cfg = SystemConfig(n_users=n_users, n_ports=3, mu=0.8, rician_k=rician_k)
         groups = (1,) * n_users if per_antenna else (1, n_users - 1)
-        p = np.concatenate(list(_blocks(cfg, self.SAMPLES, 31, 0, groups)))
+        p = np.concatenate(_blocks(cfg, self.SAMPLES, 31, 0, groups, lambda p: p))
         x_fast, y_fast = p[:, :, 0], p[:, :, 1:].sum(axis=2)
 
         phases = los_phases(cfg, seed=31)
