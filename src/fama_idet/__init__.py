@@ -17,8 +17,6 @@ from .analytic import (
     idet_general,
     idet_special_approx,
     idet_special_exact,
-    rician_wdt_sinr_exact,
-    rician_wet_ehp_exact,
     wdt_ehp_approx,
     wdt_ehp_exact,
     wdt_sinr_approx,
@@ -28,7 +26,7 @@ from .analytic import (
     wet_sinr_approx,
     wet_sinr_exact,
 )
-from .channel import ChannelRealization, PortStatistics, SystemConfig
+from .channel import SystemConfig
 from .montecarlo import (
     EnergyEfficiencyReport,
     GainReport,
@@ -43,13 +41,11 @@ from .montecarlo import (
     multiplexing_gains,
     simulate_outage_counts,
 )
-from .specfun import SeriesConvergenceError, Tolerance, marcum_q, mu_from_w
-from .strategy import PortChoice, select_wdt_port, select_wet_port
+from .specfun import SeriesConvergenceError, mu_from_w
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelRealization",
     "ClosedFormPair",
     "DEFAULT_QUAD",
     "EnergyEfficiencyReport",
@@ -59,14 +55,11 @@ __all__ = [
     "Method",
     "Metric",
     "OutageEstimate",
-    "PortChoice",
-    "PortStatistics",
     "QuadratureConvergenceError",
     "QuadratureSpec",
     "SeriesConvergenceError",
     "Strategy",
     "SystemConfig",
-    "Tolerance",
     "estimate_energy_efficiency",
     "estimate_idet",
     "estimate_outage",
@@ -74,13 +67,8 @@ __all__ = [
     "idet_special_approx",
     "idet_special_exact",
     "independence_diagnostic",
-    "marcum_q",
     "mu_from_w",
     "multiplexing_gains",
-    "rician_wdt_sinr_exact",
-    "rician_wet_ehp_exact",
-    "select_wdt_port",
-    "select_wet_port",
     "simulate_outage_counts",
     "wdt_ehp_approx",
     "wdt_ehp_exact",

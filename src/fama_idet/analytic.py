@@ -4,10 +4,12 @@ Every exact evaluator but wdt_ehp_exact, a closed-form identity, integrates
 the conditional noncentral chi-square structure of the port statistics:
 conditioned on the shared components (r1 for the desired link, r2 for the
 interference), per-port quantities are independent, so the K-port extremes
-reduce to K-th powers of inner one-port kernels.  Semi-infinite axes use
-Gauss-Laguerre after r = 2t, finite inner ranges use Gauss-Legendre, and
-the optional Richardson check re-evaluates at 1.5x nodes to bound the
-truncation error.
+reduce to K-th powers of inner one-port kernels.  A LoS component
+(rician_k > 0) makes the conditioners noncentral; the evaluators without a
+Rician expression refuse it rather than return the Rayleigh value.
+Semi-infinite axes use Gauss-Laguerre after r = 2t, finite inner ranges use
+Gauss-Legendre, and the optional Richardson check re-evaluates at 1.5x
+nodes to bound the truncation error.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from scipy import special as sp
 
 from .channel import SystemConfig
-from .specfun import bessel_i_ln, gamma_lower_reg, gamma_upper_reg, hyp1f1, marcum_q_outer, pochhammer
+from .specfun import bessel_i_ln, marcum_q_outer
 
 # Inner kernels are clamped here before K*log(.) so the K-th power stays finite.
 _FLOOR = 1e-300
@@ -160,6 +162,11 @@ def _check_nodes(*counts):
             )
 
 
+def _rayleigh_only(ctx: KernelContext, name: str) -> None:
+    if ctx.rician_k > 0.0:
+        raise ValueError(f"{name} holds only for Rayleigh fading (rician_k = 0)")
+
+
 def _with_richardson(raw, quad: QuadratureSpec, name: str) -> float:
     """Evaluate, optionally re-evaluate at 1.5x nodes, range-check, clamp."""
     ns, nf = quad.nodes_semiinfinite, quad.nodes_finite
@@ -183,8 +190,7 @@ def _with_richardson(raw, quad: QuadratureSpec, name: str) -> float:
 # ---------------------------------------------------------------------------
 
 def _wdt_sinr_raw(ctx: KernelContext, ns: int, lam1: float, lam2: float) -> float:
-    """Shared Rayleigh/Rician kernel; lam1, lam2 are the shared-component
-    noncentralities (0 for Rayleigh)."""
+    """lam1, lam2 are the shared-component noncentralities (0 for Rayleigh)."""
     n, kp, g, c = ctx.n_users, ctx.n_ports, ctx.gamma_th, ctx.corr_ratio
     v1, w1 = _ncx2_quad(1, lam1, ns)        # desired-link conditioner (2 dof)
     v2, w2 = _ncx2_quad(n - 1, lam2, ns)    # interference conditioner (2(N-1) dof)
@@ -200,10 +206,7 @@ def _wdt_sinr_raw(ctx: KernelContext, ns: int, lam1: float, lam2: float) -> floa
     s = np.zeros_like(x)
     for k in range(n - 1):
         for j in range(n - 1 - k):
-            coeff = (
-                pochhammer(n - j - k - 1, j) / math.factorial(j)
-                * (g + 1.0) ** k * g ** (0.5 * (j - k))
-            )
+            coeff = math.comb(n - k - 2, j) * (g + 1.0) ** k * g ** (0.5 * (j - k))
             s += coeff * sp.ive(j + k, x) * np.exp((j + k) * log_ratio + expo)
     s *= (g + 1.0) ** (1 - n)
 
@@ -211,12 +214,19 @@ def _wdt_sinr_raw(ctx: KernelContext, ns: int, lam1: float, lam2: float) -> floa
 
 
 def wdt_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Probability that the best-SIR port still falls below gamma_th."""
+    """Probability that the best-SIR port still falls below gamma_th.
+
+    A LoS component of power rician_k per antenna makes the shared-component
+    conditioners noncentral; rician_k = 0 is Rayleigh fading.
+    """
     if not 0.0 < ctx.mu < 1.0:
         raise ValueError("wdt_sinr_exact requires mu in (0, 1)")
     _check_nodes(quad.nodes_semiinfinite)
+    mu2 = ctx.mu ** 2
+    lam1 = ctx.rician_k / mu2
+    lam2 = (ctx.n_users - 1) * ctx.rician_k / mu2
     return _with_richardson(
-        lambda ns, nf: _wdt_sinr_raw(ctx, ns, 0.0, 0.0), quad, "wdt_sinr_exact"
+        lambda ns, nf: _wdt_sinr_raw(ctx, ns, lam1, lam2), quad, "wdt_sinr_exact"
     )
 
 
@@ -239,13 +249,14 @@ def wdt_sinr_approx(ctx: KernelContext) -> ClosedFormPair:
     the truncation goes negative and the values clamp to 0, which is no
     estimate of the outage.
     """
+    _rayleigh_only(ctx, "wdt_sinr_approx")
     n, kp, g, mu2 = ctx.n_users, ctx.n_ports, ctx.gamma_th, ctx.mu ** 2
     c_sum = 0.0
     for k in range(n - 1):
         for j in range(n - 1 - k):
             c_sum += (
                 g ** j * (g + 1.0) ** (k + 1)
-                * pochhammer(n - j - k - 1, j) / math.factorial(j)
+                * math.comb(n - k - 2, j)
                 * mu2 ** (j + k) / ((1.0 - mu2) * g + 1.0) ** (j + k + 1)
             )
     cval = (
@@ -264,17 +275,21 @@ def wdt_sinr_approx(ctx: KernelContext) -> ClosedFormPair:
 # WET outage, WET-oriented port (max-power selection)
 # ---------------------------------------------------------------------------
 
-def _wet_ehp_raw(ctx: KernelContext, ns: int, lam: float, q_hat: float | None = None) -> float:
+def _wet_ehp_raw(ctx: KernelContext, ns: int, lam: float, q_hat: float) -> float:
     n, kp, c = ctx.n_users, ctx.n_ports, ctx.corr_ratio
-    if q_hat is None:
-        q_hat = ctx.q_hat
     v, w = _ncx2_quad(n, lam, ns)           # total-power conditioner (2N dof)
     bracket = 1.0 - marcum_q_outer(n, np.sqrt(c * v), [math.sqrt(q_hat)])[:, 0]
     return float(w @ _pow_k(bracket, kp))
 
 
 def wet_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Probability that even the most energetic port harvests below Q_th."""
+    """Probability that even the most energetic port harvests below Q_th.
+
+    Under LoS (rician_k > 0) the 2N-dof conditioner is noncentral.  The
+    harvested power is kept independent of kappa on average
+    (power-preserving normalization), so the normalized threshold carries
+    a (1 + kappa/2) factor; rician_k = 0 is Rayleigh fading.
+    """
     if not 0.0 < ctx.mu < 1.0:
         raise ValueError("wet_ehp_exact requires mu in (0, 1)")
     if ctx.q_hat == 0.0:
@@ -282,8 +297,10 @@ def wet_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> fl
     if math.isinf(ctx.q_hat):
         return 1.0
     _check_nodes(quad.nodes_semiinfinite)
+    lam = ctx.n_users * ctx.rician_k / ctx.mu ** 2
+    q_eff = ctx.q_hat * (1.0 + 0.5 * ctx.rician_k)
     return _with_richardson(
-        lambda ns, nf: _wet_ehp_raw(ctx, ns, 0.0), quad, "wet_ehp_exact"
+        lambda ns, nf: _wet_ehp_raw(ctx, ns, lam, q_eff), quad, "wet_ehp_exact"
     )
 
 
@@ -296,6 +313,7 @@ def wet_ehp_approx(ctx: KernelContext) -> float:
     i.e. at large thresholds; for K*s >~ 1 the value clamps to 0, which is
     no estimate of the outage.
     """
+    _rayleigh_only(ctx, "wet_ehp_approx")
     n, kp, mu2, qh = ctx.n_users, ctx.n_ports, ctx.mu ** 2, ctx.q_hat
     if qh == 0.0:
         return 0.0
@@ -303,10 +321,10 @@ def wet_ehp_approx(ctx: KernelContext) -> float:
         return 1.0
     h = qh / 2.0
     series = sum(
-        (1.0 - mu2) ** l * hyp1f1(l + 1, n + 1, mu2 * h) for l in range(n)
+        (1.0 - mu2) ** l * sp.hyp1f1(l + 1, n + 1, mu2 * h) for l in range(n)
     )
     third = kp * mu2 * math.exp(n * math.log(h) - h - sp.gammaln(n + 1)) * series
-    return max(0.0, 1.0 - kp * gamma_upper_reg(n, h) - third)
+    return max(0.0, 1.0 - kp * sp.gammaincc(n, h) - third)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +393,7 @@ def wet_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> f
     """Probability the SIR-optimal port harvests below Q_th."""
     if not 0.0 < ctx.mu < 1.0:
         raise ValueError("wet_sinr_exact requires mu in (0, 1)")
+    _rayleigh_only(ctx, "wet_sinr_exact")
     if ctx.q_hat == 0.0:
         return 0.0
     if math.isinf(ctx.q_hat):
@@ -383,7 +402,7 @@ def wet_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> f
     if ctx.n_ports == 1:
         # single port: the selection conditioning is vacuous
         return _with_richardson(
-            lambda ns, nf: _wet_ehp_raw(ctx, ns, 0.0), quad, "wet_sinr_exact"
+            lambda ns, nf: _wet_ehp_raw(ctx, ns, 0.0, ctx.q_hat), quad, "wet_sinr_exact"
         )
     return _with_richardson(
         lambda ns, nf: _wet_sinr_raw(ctx, ns, nf), quad, "wet_sinr_exact"
@@ -392,9 +411,10 @@ def wet_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> f
 
 def wet_sinr_approx(ctx: KernelContext) -> float:
     """Small-mu closed form: X+Y decouples from the selection ratio X/Y."""
+    _rayleigh_only(ctx, "wet_sinr_approx")
     if math.isinf(ctx.q_tilde):
         return 1.0
-    return float(gamma_lower_reg(ctx.n_users, ctx.q_tilde / 2.0))
+    return float(sp.gammainc(ctx.n_users, ctx.q_tilde / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +433,14 @@ def wdt_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> fl
     """
     if not 0.0 < ctx.mu < 1.0:
         raise ValueError("wdt_ehp_exact requires mu in (0, 1)")
-    if ctx.rician_k > 0.0:
-        raise ValueError(
-            "wdt_ehp_exact holds only for Rayleigh fading (rician_k = 0); "
-            "there is no rician_wdt_ehp_exact evaluator"
-        )
+    _rayleigh_only(ctx, "wdt_ehp_exact")
     return 1.0 - (ctx.gamma_th + 1.0) ** (1 - ctx.n_users)
 
 
 def wdt_ehp_approx(ctx: KernelContext) -> float:
     """Closed form 1 - (1+gamma_th)^-(N-1); exact for Rayleigh fading at
     every W and K (see wdt_ehp_exact), not only at large W."""
+    _rayleigh_only(ctx, "wdt_ehp_approx")
     return 1.0 - (ctx.gamma_th + 1.0) ** (1 - ctx.n_users)
 
 
@@ -454,6 +471,7 @@ def idet_special_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) 
     """Probability every port fails the SIR and the harvest test jointly."""
     if not 0.0 < ctx.mu < 1.0:
         raise ValueError("idet_special_exact requires mu in (0, 1)")
+    _rayleigh_only(ctx, "idet_special_exact")
     if ctx.q_hat == 0.0:
         return 0.0
     if math.isinf(ctx.q_hat):
@@ -475,17 +493,12 @@ class IdetSpecialApprox:
 
 
 def idet_special_approx(
-    ctx: KernelContext,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-    use_exact_factors: bool = True,
+    ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD
 ) -> IdetSpecialApprox:
     """Product of the two all-port outages, valid when ports decouple (small mu)."""
-    if use_exact_factors:
-        wdt = wdt_sinr_exact(ctx, quad)
-        wet = wet_ehp_exact(ctx, quad)
-    else:
-        wdt = wdt_sinr_approx(ctx).theorem
-        wet = wet_ehp_approx(ctx)
+    _rayleigh_only(ctx, "idet_special_approx")
+    wdt = wdt_sinr_exact(ctx, quad)
+    wet = wet_ehp_exact(ctx, quad)
     if wdt >= 10.0 * wet:
         regime = "WDT_DOMINANT"
     elif wet >= 10.0 * wdt:
@@ -506,42 +519,3 @@ def idet_general(wdt: float, wet: float, special: float, tol: float = 1e-6) -> f
             f"beyond tolerance {tol}"
         )
     return min(max(wdt + wet - special, 0.0), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Rician extensions (LoS shifts the shared-component conditioners)
-# ---------------------------------------------------------------------------
-
-def rician_wdt_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """WDT outage under a fixed LoS component of power rician_k per antenna."""
-    if not 0.0 < ctx.mu < 1.0:
-        raise ValueError("rician_wdt_sinr_exact requires mu in (0, 1)")
-    _check_nodes(quad.nodes_semiinfinite)
-    mu2 = ctx.mu ** 2
-    lam1 = ctx.rician_k / mu2
-    lam2 = (ctx.n_users - 1) * ctx.rician_k / mu2
-    return _with_richardson(
-        lambda ns, nf: _wdt_sinr_raw(ctx, ns, lam1, lam2), quad, "rician_wdt_sinr_exact"
-    )
-
-
-def rician_wet_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """WET outage under the same LoS model; 2N-dof noncentral conditioner.
-
-    The harvested power is kept independent of kappa on average
-    (power-preserving normalization), so the normalized threshold carries
-    a (1 + kappa/2) factor relative to the Rayleigh-style q_hat.  At
-    kappa = 0 this reduces exactly to the Rayleigh expression.
-    """
-    if not 0.0 < ctx.mu < 1.0:
-        raise ValueError("rician_wet_ehp_exact requires mu in (0, 1)")
-    if ctx.q_hat == 0.0:
-        return 0.0
-    if math.isinf(ctx.q_hat):
-        return 1.0
-    _check_nodes(quad.nodes_semiinfinite)
-    lam = ctx.n_users * ctx.rician_k / ctx.mu ** 2
-    q_eff = ctx.q_hat * (1.0 + 0.5 * ctx.rician_k)
-    return _with_richardson(
-        lambda ns, nf: _wet_ehp_raw(ctx, ns, lam, q_eff), quad, "rician_wet_ehp_exact"
-    )

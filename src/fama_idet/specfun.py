@@ -1,4 +1,4 @@
-"""Special-function kernels shared by the analytic outage expressions.
+"""Special functions the analytic outage expressions need beyond scipy.
 
 Everything here is pure and reentrant.  Scalar arguments give scalar
 results; array arguments broadcast in the usual numpy way.
@@ -7,53 +7,17 @@ results; array arguments broadcast in the usual numpy way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
 
+# Poisson mass the Marcum mixture may discard, and its term cap.
+_REL_TOL = 1e-10
+_MAX_TERMS = 10_000
+
 
 class SeriesConvergenceError(RuntimeError):
     """A truncated series failed to reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Relative tolerance and term cap for the truncated series."""
-
-    rel_tol: float = 1e-10
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-3):
-            raise ValueError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
-        if self.max_terms < 16:
-            raise ValueError(f"max_terms must be >= 16, got {self.max_terms}")
-
-
-DEFAULT_TOL = Tolerance()
-
-
-def pochhammer(t: float, k: int) -> float:
-    """Rising factorial t(t+1)...(t+k-1); empty product (k=0) is 1."""
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a nonnegative integer")
-    out = 1.0
-    for i in range(int(k)):
-        out *= t + i
-    return out
-
-
-def bessel_i(n: int, x):
-    """Modified Bessel function of the first kind I_n(x).
-
-    Raises OverflowError when the (unscaled) value exceeds the floating
-    range; use :func:`bessel_i_ln` there instead.
-    """
-    val = sp.iv(n, x)
-    if np.any(np.isinf(val)):
-        raise OverflowError("I_n(x) overflows double precision; use bessel_i_ln")
-    return val
 
 
 def bessel_i_ln(n: int, x):
@@ -64,109 +28,36 @@ def bessel_i_ln(n: int, x):
     return out if out.ndim else float(out)
 
 
-def bessel_j1(x):
-    """First-order Bessel function of the first kind J_1(x)."""
-    return sp.j1(x)
-
-
-def gamma_lower_reg(s, x):
-    """Regularized lower incomplete gamma gamma(s, x) / Gamma(s)."""
-    return sp.gammainc(s, x)
-
-
-def gamma_upper_reg(s, x):
-    """Regularized upper incomplete gamma Gamma(s, x) / Gamma(s)."""
-    return sp.gammaincc(s, x)
-
-
-def hyp1f1(a: float, b: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Confluent hypergeometric 1F1(a; b; x) by direct Kahan-compensated series."""
-    if b <= 0 and b == int(b):
-        raise ValueError("b must not be a non-positive integer")
-    total = 1.0
-    comp = 0.0
-    term = 1.0
-    for k in range(tol.max_terms):
-        term *= (a + k) * x / ((b + k) * (k + 1))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) <= tol.rel_tol * max(abs(total), 1e-300) and k >= 4:
-            return total
-    raise SeriesConvergenceError(
-        f"1F1({a};{b};{x}) did not converge within {tol.max_terms} terms"
-    )
-
-
-# Above this |x| the alternating 1F2 series loses too many digits in double
-# precision, so evaluation switches to arbitrary precision internally.
-_HYP1F2_SERIES_LIMIT = 40.0
-
-
-def hyp1f2(a: float, b1: float, b2: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Generalized hypergeometric 1F2(a; b1, b2; x).
-
-    Large negative arguments (the fluid-antenna correlation integral at
-    big apertures) are alternating with catastrophic cancellation, so the
-    compensated double-precision series is only used for moderate |x|.
-    """
-    if (b1 <= 0 and b1 == int(b1)) or (b2 <= 0 and b2 == int(b2)):
-        raise ValueError("b1, b2 must not be non-positive integers")
-    if abs(x) > _HYP1F2_SERIES_LIMIT:
-        return _hyp1f2_mp(a, b1, b2, x, tol)
-    total = 1.0
-    comp = 0.0
-    term = 1.0
-    for k in range(tol.max_terms):
-        term *= (a + k) * x / ((b1 + k) * (b2 + k) * (k + 1))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) <= tol.rel_tol * max(abs(total), 1e-300) and k >= 4:
-            return total
-    raise SeriesConvergenceError(
-        f"1F2({a};{b1},{b2};{x}) did not converge within {tol.max_terms} terms"
-    )
-
-
-def _hyp1f2_mp(a, b1, b2, x, tol):
-    import mpmath as mp
-
-    # Peak series term grows like exp(2*sqrt(|x|)); pad working precision
-    # to absorb the cancellation.
-    dps = int(20 + 0.9 * math.sqrt(abs(x)))
-    with mp.workdps(dps):
-        return float(mp.hyper([a], [b1, b2], x))
-
-
-def mu_from_w(w: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def mu_from_w(w: float) -> float:
     """Average port correlation of a linear fluid antenna of size w wavelengths.
 
     mu = sqrt(2) * sqrt( 1F2(1/2; 1, 3/2; -pi^2 w^2) - J1(2 pi w)/(2 pi w) ),
-    clamped to [0, 1] against rounding.  Decreases with w in trend.
+    clamped to [0, 1] against rounding.  Decreases with w in trend.  The
+    1F2 is the Struve form of Abramowitz & Stegun 11.1.7,
+    1F2(1/2; 1, 3/2; -z^2/4) = J0(z) + (pi/2) [J1(z) H0(z) - J0(z) H1(z)].
     """
     if w <= 0:
         raise ValueError(f"fluid antenna size must be positive, got {w}")
     z = 2.0 * math.pi * w
-    mu_sq = 2.0 * (hyp1f2(0.5, 1.0, 1.5, -(math.pi * w) ** 2, tol) - bessel_j1(z) / z)
+    j0, j1 = sp.j0(z), sp.j1(z)
+    hyp = j0 + 0.5 * math.pi * (j1 * sp.struve(0, z) - j0 * sp.struve(1, z))
+    mu_sq = 2.0 * (hyp - j1 / z)
     return math.sqrt(min(max(mu_sq, 0.0), 1.0))
 
 
-def _poisson_k_range(lam_min: float, lam_max: float, tol: Tolerance) -> tuple[int, int]:
-    """Index window [k_lo, k_hi] carrying all but < rel_tol Poisson mass."""
+def _poisson_k_range(lam_min: float, lam_max: float) -> tuple[int, int]:
+    """Index window [k_lo, k_hi] carrying all but < _REL_TOL Poisson mass."""
     k_hi = int(lam_max + 12.0 * math.sqrt(lam_max + 1.0) + 30.0)
     # Poisson survival P(K > k) = gammainc(k+1, lam), increasing in lam.
-    while sp.gammainc(k_hi + 1, lam_max) > tol.rel_tol:
+    while sp.gammainc(k_hi + 1, lam_max) > _REL_TOL:
         k_hi = int(1.5 * k_hi) + 16
-        if k_hi > tol.max_terms:
+        if k_hi > _MAX_TERMS:
             raise SeriesConvergenceError(
-                f"Marcum-Q Poisson mixture needs more than {tol.max_terms} terms"
+                f"Marcum-Q Poisson mixture needs more than {_MAX_TERMS} terms"
             )
     k_lo = max(0, int(lam_min - 12.0 * math.sqrt(lam_min + 1.0) - 30.0))
     # P(K < k_lo) = gammaincc(k_lo, lam), decreasing in lam.
-    while k_lo > 0 and sp.gammaincc(k_lo, lam_min) > tol.rel_tol:
+    while k_lo > 0 and sp.gammaincc(k_lo, lam_min) > _REL_TOL:
         k_lo //= 2
     return k_lo, k_hi
 
@@ -186,9 +77,7 @@ def _poisson_weights(lam: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def marcum_q_outer(
-    order: int, a, b, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
+def marcum_q_outer(order: int, a, b) -> np.ndarray:
     """Marcum Q_order evaluated on the outer grid of a-values x b-values.
 
     Returns the (len(a), len(b)) matrix Q_order(a_i, b_j) through the
@@ -196,7 +85,7 @@ def marcum_q_outer(
 
         Q_N(a, b) = sum_k  pois(k; a^2/2) * GammaReg(N + k, b^2/2),
 
-    truncated once the remaining Poisson tail mass drops below rel_tol.
+    truncated once the remaining Poisson tail mass drops below 1e-10.
     Every term lies in [0, 1], so the truncation error is bounded by the
     discarded mass.  The k-sum collapses to one matrix product, which is
     what makes the quadrature kernels affordable.
@@ -209,7 +98,7 @@ def marcum_q_outer(
         raise ValueError("a and b must be nonnegative")
     lam = 0.5 * a * a
     x = 0.5 * b * b
-    k_lo, k_hi = _poisson_k_range(float(lam.min()), float(lam.max()), tol)
+    k_lo, k_hi = _poisson_k_range(float(lam.min()), float(lam.max()))
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
     pmat = _poisson_weights(lam, ks)
     gmat = sp.gammaincc(order + ks[:, None], x[None, :])
@@ -217,30 +106,3 @@ def marcum_q_outer(
     np.clip(out, 0.0, 1.0, out=out)
     out[:, x == 0.0] = 1.0
     return out
-
-
-def marcum_q(order: int, a, b, tol: Tolerance = DEFAULT_TOL):
-    """Marcum Q-function Q_order(a, b), elementwise over broadcast inputs."""
-    a_arr, b_arr = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    )
-    scalar = a_arr.ndim == 0
-    a_flat = np.atleast_1d(a_arr).ravel()
-    b_flat = np.atleast_1d(b_arr).ravel()
-    if np.any(a_flat < 0) or np.any(b_flat < 0):
-        raise ValueError("a and b must be nonnegative")
-    if order < 1 or order != int(order):
-        raise ValueError("order must be a positive integer")
-    lam = 0.5 * a_flat * a_flat
-    x = 0.5 * b_flat * b_flat
-    k_lo, k_hi = _poisson_k_range(float(lam.min()), float(lam.max()), tol)
-    ks = np.arange(k_lo, k_hi + 1, dtype=float)
-    pmat = _poisson_weights(lam, ks)
-    out = np.zeros_like(a_flat)
-    for idx, k in enumerate(ks):
-        out += pmat[:, idx] * sp.gammaincc(order + k, x)
-    np.clip(out, 0.0, 1.0, out=out)
-    out[x == 0.0] = 1.0
-    if scalar:
-        return float(out[0])
-    return out.reshape(a_arr.shape)

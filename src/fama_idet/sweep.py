@@ -167,6 +167,8 @@ def spec_from_config(
     )
 
 
+# One exact evaluator per metric, for Rayleigh and Rician cells alike; each
+# reads ctx.rician_k and refuses it where it has no Rician expression.
 _EXACT_RAYLEIGH = {
     Metric.WDT_SINR: analytic.wdt_sinr_exact,
     Metric.WET_SINR: analytic.wet_sinr_exact,
@@ -182,18 +184,11 @@ def _exact_value(ctx: KernelContext, metric: Metric, known: dict) -> float:
     and a part that raised is evaluated (and raises) again."""
     if metric in known:
         return known[metric]
-    if ctx.rician_k > 0.0:
-        if metric is Metric.WDT_SINR:
-            v = analytic.rician_wdt_sinr_exact(ctx)
-        elif metric is Metric.WET_EHP:
-            v = analytic.rician_wet_ehp_exact(ctx)
-        else:
-            raise ValueError(f"no exact Rician expression for {metric.value}")
-    elif metric is Metric.IDET_GENERAL:
-        v = analytic.idet_general(*(
-            _exact_value(ctx, m, known)
-            for m in (Metric.WDT_SINR, Metric.WET_EHP, Metric.IDET_SPECIAL)
-        ))
+    if metric is Metric.IDET_GENERAL:
+        # IDET_SPECIAL first: a Rician cell refuses it before the others run
+        special = _exact_value(ctx, Metric.IDET_SPECIAL, known)
+        v = analytic.idet_general(_exact_value(ctx, Metric.WDT_SINR, known),
+                                  _exact_value(ctx, Metric.WET_EHP, known), special)
     else:
         v = _EXACT_RAYLEIGH[metric](ctx)
     known[metric] = v
@@ -201,8 +196,6 @@ def _exact_value(ctx: KernelContext, metric: Metric, known: dict) -> float:
 
 
 def _closed_form_value(ctx: KernelContext, metric: Metric) -> float:
-    if ctx.rician_k > 0.0:
-        raise ValueError(f"no closed form for {metric.value} with rician_k > 0")
     if metric is Metric.WDT_SINR:
         return analytic.wdt_sinr_approx(ctx).theorem
     if metric is Metric.WET_SINR:

@@ -9,13 +9,14 @@ import sys
 import time
 
 import conftest
+import numpy as np
+from scipy import special as sp
+from scipy import stats
 
 from fama_idet.analytic import (
     KernelContext,
     idet_general,
     idet_special_exact,
-    rician_wdt_sinr_exact,
-    rician_wet_ehp_exact,
     wdt_ehp_approx,
     wdt_ehp_exact,
     wdt_sinr_approx,
@@ -33,12 +34,7 @@ from fama_idet.montecarlo import (
     simulate_outage_counts,
     wilson_interval,
 )
-from fama_idet.specfun import (
-    gamma_lower_reg,
-    gamma_upper_reg,
-    hyp1f1,
-    marcum_q,
-)
+from fama_idet.specfun import marcum_q_outer
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -59,23 +55,26 @@ def mc_cells(cfg, trials, seed, z):
 def test_criterion_1_special_function_identities():
     """Marcum, confluent hypergeometric and gamma identities at 1e-10."""
     t0 = time.perf_counter()
-    worst = 0.0
     orders = (1, 2, 3, 5, 8)
-    a_grid = (0.0, 0.3, 1.0, 3.0, 8.0)
-    b_grid = (0.1, 0.5, 1.0, 2.5, 6.0, 12.0)
+    a_grid = np.array([0.0, 0.3, 1.0, 3.0, 8.0])
+    b_grid = np.array([0.1, 0.5, 1.0, 2.5, 6.0, 12.0])
+    worst = 0.0
     for order in orders:
-        for a in a_grid:
-            worst = max(worst, abs(float(marcum_q(order, a, 0.0)) - 1.0))
-        for b in b_grid:
-            want = gamma_upper_reg(order, b * b / 2.0)
-            got = float(marcum_q(order, 0.0, b))
-            worst = max(worst, abs(got - want) / want)
+        worst = max(worst, np.max(np.abs(marcum_q_outer(order, a_grid, [0.0]) - 1.0)))
+        # a = 0 is the regularized upper gamma; every (a, b) the noncentral
+        # chi-square survival function Q_N(a, b) = sf(b^2; 2N, a^2)
+        want = sp.gammaincc(order, b_grid * b_grid / 2.0)
+        got = marcum_q_outer(order, [0.0], b_grid)[0]
+        worst = max(worst, np.max(np.abs(got - want) / want))
+        want = stats.ncx2.sf(b_grid[None, :] ** 2, 2 * order, a_grid[:, None] ** 2)
+        got = marcum_q_outer(order, a_grid, b_grid)
+        worst = max(worst, np.max(np.abs(got - want) / want))
     for a in (0.5, 1.0, 2.5, 7.0):
         for x in (-4.0, -1.0, 0.5, 3.0, 12.0):
-            worst = max(worst, abs(hyp1f1(a, a, x) - math.exp(x)) / math.exp(x))
+            worst = max(worst, abs(sp.hyp1f1(a, a, x) - math.exp(x)) / math.exp(x))
     for s in (0.5, 1.0, 2.0, 5.0, 9.0):
         for x in (0.0, 0.4, 2.0, 10.0, 40.0):
-            worst = max(worst, abs(gamma_lower_reg(s, x) + gamma_upper_reg(s, x) - 1.0))
+            worst = max(worst, abs(sp.gammainc(s, x) + sp.gammaincc(s, x) - 1.0))
     elapsed = time.perf_counter() - t0
     report(
         "criterion 1 (special-function identities)",
@@ -167,7 +166,7 @@ def test_criterion_3_closed_form_accuracy():
     ctx_wdt = KernelContext.from_config(SystemConfig(sinr_threshold=10 ** 0.7))
     ctx_wet = KernelContext.from_config(SystemConfig(ehp_threshold=0.15))
     ks_wdt = ctx_wdt.n_ports * (1.0 + ctx_wdt.gamma_th) ** (1 - ctx_wdt.n_users)
-    ks_wet = ctx_wet.n_ports * gamma_upper_reg(ctx_wet.n_users, ctx_wet.q_hat / 2.0)
+    ks_wet = ctx_wet.n_ports * sp.gammaincc(ctx_wet.n_users, ctx_wet.q_hat / 2.0)
     outside = [f"{label} K*s {ks:.3g} > {FIRST_ORDER_BOUND}"
                for label, ks in (("WDT", ks_wdt), ("WET", ks_wet))
                if not ks <= FIRST_ORDER_BOUND]
@@ -310,24 +309,22 @@ def test_criterion_6_idet_composition():
 
 def test_criterion_7_rician_reduction_and_ordering():
     """kappa=0 reductions at 1e-4; LoS degrades both outage kinds."""
-    base = dict(n_users=5, n_ports=200, fa_size=1.0)
-    ctx0 = KernelContext.from_config(
-        SystemConfig(**base, ehp_threshold=0.090, rician_k=0.0)
-    )
-    d_wdt = abs(rician_wdt_sinr_exact(ctx0) - wdt_sinr_exact(ctx0))
-    d_wet = abs(rician_wet_ehp_exact(ctx0) - wet_ehp_exact(ctx0))
+    base = dict(n_users=5, n_ports=200, fa_size=1.0, ehp_threshold=0.090)
+    ctx0, tiny, ctx5 = (KernelContext.from_config(SystemConfig(**base, rician_k=k))
+                        for k in (0.0, 1e-6, 5.0))
+    # kappa = 1e-6 goes through the noncentral conditioners, kappa = 0
+    # through the central ones
+    wdt0, wet0 = wdt_sinr_exact(ctx0), wet_ehp_exact(ctx0)
+    d_wdt = abs(wdt_sinr_exact(tiny) - wdt0)
+    d_wet = abs(wet_ehp_exact(tiny) - wet0)
     reduction_ok = d_wdt <= 1e-4 and d_wet <= 1e-4
 
-    ctx5 = KernelContext.from_config(
-        SystemConfig(**base, ehp_threshold=0.090, rician_k=5.0)
-    )
-    wdt0, wdt5 = rician_wdt_sinr_exact(ctx0), rician_wdt_sinr_exact(ctx5)
-    wet0, wet5 = rician_wet_ehp_exact(ctx0), rician_wet_ehp_exact(ctx5)
+    wdt5, wet5 = wdt_sinr_exact(ctx5), wet_ehp_exact(ctx5)
     ordering_ok = wdt5 > wdt0 and wet5 > wet0
     report(
         "criterion 7 (Rician reduction and LoS penalty)",
         reduction_ok and ordering_ok,
-        f"kappa=0 deviations {d_wdt:.1e}/{d_wet:.1e} (gate 1e-4); "
+        f"kappa=1e-6 vs 0 deviations {d_wdt:.1e}/{d_wet:.1e} (gate 1e-4); "
         f"kappa=5 vs 0: WDT {wdt5:.4f}>{wdt0:.4f}, WET {wet5:.4f}>{wet0:.4f}",
     )
 

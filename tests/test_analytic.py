@@ -8,6 +8,7 @@ import math
 
 import pytest
 from scipy import integrate, stats
+from scipy import special as sp
 
 from fama_idet.analytic import (
     DEFAULT_QUAD,
@@ -17,8 +18,6 @@ from fama_idet.analytic import (
     idet_general,
     idet_special_approx,
     idet_special_exact,
-    rician_wdt_sinr_exact,
-    rician_wet_ehp_exact,
     wdt_ehp_approx,
     wdt_ehp_exact,
     wdt_sinr_approx,
@@ -30,7 +29,6 @@ from fama_idet.analytic import (
 )
 from fama_idet.channel import SystemConfig
 from fama_idet.montecarlo import Metric, simulate_outage_counts, wilson_interval
-from fama_idet.specfun import gamma_lower_reg
 
 
 def ctx_from(**kw):
@@ -115,10 +113,15 @@ class TestEdgeCases:
             with pytest.raises(ValueError):
                 fn(ctx)
 
-    def test_wdt_ehp_refuses_rician(self):
-        # LoS breaks the isotropy the closed-form identity rests on
-        with pytest.raises(ValueError, match="rician_wdt_ehp_exact"):
-            wdt_ehp_exact(ctx_from(**SMALL, rician_k=2.0))
+    @pytest.mark.parametrize("fn", [
+        wet_sinr_exact, idet_special_exact, wdt_ehp_exact, wdt_sinr_approx,
+        wet_sinr_approx, wdt_ehp_approx, wet_ehp_approx, idet_special_approx,
+    ], ids=lambda fn: fn.__name__)
+    def test_refuses_rician(self, fn):
+        # no Rician expression: a Rayleigh value must not come back in its
+        # place (LoS also breaks the isotropy wdt_ehp_exact rests on)
+        with pytest.raises(ValueError, match=fn.__name__):
+            fn(ctx_from(**SMALL, rician_k=2.0))
 
     def test_node_cap_enforced(self):
         quad = QuadratureSpec(nodes_semiinfinite=150, richardson_check=False)
@@ -154,7 +157,7 @@ class TestClosedForms:
 
     def test_wet_sinr_approx_is_gamma_cdf(self):
         ctx = ctx_from(**SMALL)
-        want = gamma_lower_reg(ctx.n_users, ctx.q_tilde / 2.0)
+        want = sp.gammainc(ctx.n_users, ctx.q_tilde / 2.0)
         assert wet_sinr_approx(ctx) == pytest.approx(want, rel=1e-12)
 
     def test_small_mu_limits(self):
@@ -233,16 +236,20 @@ class TestIdetComposition:
 
 class TestRician:
     def test_kappa_zero_reduces_to_rayleigh(self):
-        ctx = ctx_from(n_users=5, n_ports=50, fa_size=1.0, ehp_threshold=0.055)
-        assert abs(rician_wdt_sinr_exact(ctx) - wdt_sinr_exact(ctx)) < 1e-4
-        assert abs(rician_wet_ehp_exact(ctx) - wet_ehp_exact(ctx)) < 1e-4
+        # kappa = 1e-6 takes the noncentral conditioners, kappa = 0 the
+        # central ones; the two must meet as kappa -> 0
+        base = dict(n_users=5, n_ports=50, fa_size=1.0, ehp_threshold=0.055)
+        k0 = ctx_from(**base, rician_k=0.0)
+        tiny = ctx_from(**base, rician_k=1e-6)
+        assert abs(wdt_sinr_exact(tiny) - wdt_sinr_exact(k0)) < 1e-4
+        assert abs(wet_ehp_exact(tiny) - wet_ehp_exact(k0)) < 1e-4
 
     def test_los_degrades_both_metrics(self):
         base = dict(n_users=5, n_ports=200, fa_size=1.0, ehp_threshold=0.090)
         k0 = ctx_from(**base, rician_k=0.0)
         k5 = ctx_from(**base, rician_k=5.0)
-        assert rician_wdt_sinr_exact(k5) > rician_wdt_sinr_exact(k0)
-        assert rician_wet_ehp_exact(k5) > rician_wet_ehp_exact(k0)
+        assert wdt_sinr_exact(k5) > wdt_sinr_exact(k0)
+        assert wet_ehp_exact(k5) > wet_ehp_exact(k0)
 
     def test_rician_matches_monte_carlo(self):
         cfg = SystemConfig(n_users=3, n_ports=8, fa_size=1.0, rician_k=2.0,
@@ -250,8 +257,8 @@ class TestRician:
         trials = 150_000
         counts = simulate_outage_counts(cfg, trials, seed=77)["counts"]
         ctx = KernelContext.from_config(cfg)
-        for metric, fn in ((Metric.WDT_SINR, rician_wdt_sinr_exact),
-                           (Metric.WET_EHP, rician_wet_ehp_exact)):
+        for metric, fn in ((Metric.WDT_SINR, wdt_sinr_exact),
+                           (Metric.WET_EHP, wet_ehp_exact)):
             lo, hi = wilson_interval(counts[metric], trials, 3.0 * 1.96)
             assert lo <= fn(ctx) <= hi
 

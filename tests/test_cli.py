@@ -42,7 +42,7 @@ def _with_metrics(metrics):
 
 
 def _count_exact_calls(monkeypatch, fail=None):
-    """Count the calls per Rayleigh EXACT evaluator, by the sweep's table or
+    """Count the calls per EXACT evaluator, by the sweep's table or
     by module attribute; `fail` raises instead."""
     calls = Counter()
     for metric, fn in list(sweep._EXACT_RAYLEIGH.items()):
@@ -161,6 +161,14 @@ class TestRunSweep:
         # a failure is not kept: IDET_GENERAL evaluates the part again
         assert calls[Metric.WET_EHP] == 4
         assert calls[Metric.WDT_SINR] == 2
+
+    def test_rician_idet_general_stops_at_special(self, monkeypatch):
+        # IDET_SPECIAL has no Rician expression, so the other parts never run
+        calls = _count_exact_calls(monkeypatch)
+        rows = run_sweep(spec_from_config(
+            _with_metrics("IDET_GENERAL:EXACT") + "rician_k = 2\n")).rows
+        assert [r["error"] for r in rows] == ["unsupported"] * 2
+        assert calls == {Metric.IDET_SPECIAL: 2}
 
     def test_rician_metadata_note(self):
         result = run_sweep(spec_from_config(BASE_CFG + "rician_k = 2\n"))
