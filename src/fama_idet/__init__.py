@@ -32,11 +32,8 @@ from .montecarlo import (
     GainReport,
     Method,
     Metric,
-    OutageEstimate,
     Strategy,
     estimate_energy_efficiency,
-    estimate_idet,
-    estimate_outage,
     independence_diagnostic,
     multiplexing_gains,
     simulate_outage_counts,
@@ -54,15 +51,12 @@ __all__ = [
     "KernelContext",
     "Method",
     "Metric",
-    "OutageEstimate",
     "QuadratureConvergenceError",
     "QuadratureSpec",
     "SeriesConvergenceError",
     "Strategy",
     "SystemConfig",
     "estimate_energy_efficiency",
-    "estimate_idet",
-    "estimate_outage",
     "idet_general",
     "idet_special_approx",
     "idet_special_exact",

@@ -45,8 +45,8 @@ class QuadratureSpec:
     richardson_check: bool = True
 
     def __post_init__(self):
-        if self.nodes_semiinfinite < 8 or self.nodes_finite < 8:
-            raise ValueError("node counts must be >= 8")
+        if not all(8 <= c <= _MAX_NODES for c in (self.nodes_semiinfinite, self.nodes_finite)):
+            raise ValueError(f"node counts must lie in [8, {_MAX_NODES}] (cost guard)")
         if not 0.0 < self.rel_tol_target < 1.0:
             raise ValueError("rel_tol_target must be in (0, 1)")
 
@@ -153,15 +153,6 @@ def _pow_k(values: np.ndarray, k: int) -> np.ndarray:
     return np.exp(k * np.log(np.clip(values, _FLOOR, 1.0)))
 
 
-def _check_nodes(*counts):
-    for c in counts:
-        if c > _MAX_NODES:
-            raise ValueError(
-                f"node count {c} exceeds the per-axis cap {_MAX_NODES}; "
-                "refusing the evaluation (cost guard)"
-            )
-
-
 def _rayleigh_only(ctx: KernelContext, name: str) -> None:
     if ctx.rician_k > 0.0:
         raise ValueError(f"{name} holds only for Rayleigh fading (rician_k = 0)")
@@ -221,7 +212,6 @@ def wdt_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> f
     """
     if not 0.0 < ctx.mu < 1.0:
         raise ValueError("wdt_sinr_exact requires mu in (0, 1)")
-    _check_nodes(quad.nodes_semiinfinite)
     mu2 = ctx.mu ** 2
     lam1 = ctx.rician_k / mu2
     lam2 = (ctx.n_users - 1) * ctx.rician_k / mu2
@@ -296,7 +286,6 @@ def wet_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> fl
         return 0.0
     if math.isinf(ctx.q_hat):
         return 1.0
-    _check_nodes(quad.nodes_semiinfinite)
     lam = ctx.n_users * ctx.rician_k / ctx.mu ** 2
     q_eff = ctx.q_hat * (1.0 + 0.5 * ctx.rician_k)
     return _with_richardson(
@@ -398,7 +387,6 @@ def wet_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> f
         return 0.0
     if math.isinf(ctx.q_hat):
         return 1.0
-    _check_nodes(quad.nodes_semiinfinite, quad.nodes_finite)
     if ctx.n_ports == 1:
         # single port: the selection conditioning is vacuous
         return _with_richardson(
@@ -476,7 +464,6 @@ def idet_special_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) 
         return 0.0
     if math.isinf(ctx.q_hat):
         return wdt_sinr_exact(ctx, quad)
-    _check_nodes(quad.nodes_semiinfinite, quad.nodes_finite)
     return _with_richardson(
         lambda ns, nf: _idet_special_raw(ctx, ns, nf), quad, "idet_special_exact"
     )

@@ -1,14 +1,13 @@
 """Command-line batch runner: sweeps, cross-validation, single-cell eval.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure.
-Default worker count comes from FAMA_IDET_WORKERS (fallback 1).
+Cells run on `--workers` processes (default 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from .specfun import SeriesConvergenceError, mu_from_w
@@ -38,8 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="flat key=value config file")
         p.add_argument("--trials", type=int, help="MC trials per cell (override)")
         p.add_argument("--seed", type=int, help="MC seed (override)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel cells (default: FAMA_IDET_WORKERS or 1)")
+        p.add_argument("--workers", type=int, default=1, help="parallel cells (default: 1)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--timing", action="store_true",
@@ -53,15 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mu = sub.add_parser("mu", help="print the port-correlation parameter")
     p_mu.add_argument("--w", type=float, required=True, help="aperture in wavelengths")
     return parser
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    try:
-        return max(1, int(os.environ.get("FAMA_IDET_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_spec(args, require_axis: bool):
@@ -80,7 +69,7 @@ def _load_spec(args, require_axis: bool):
 
 def _cmd_sweep(args, require_axis: bool) -> int:
     spec = _load_spec(args, require_axis)
-    result = run_sweep(spec, workers=_workers(args))
+    result = run_sweep(spec, workers=args.workers)
     if not spec.output_path:
         sys.stdout.write(render(result, spec.format))
     return EXIT_NUMERICAL if result.failed else EXIT_OK
@@ -88,7 +77,7 @@ def _cmd_sweep(args, require_axis: bool) -> int:
 
 def _cmd_compare(args) -> int:
     spec = _load_spec(args, require_axis=False)
-    report = compare(spec, workers=_workers(args))
+    report = compare(spec, workers=args.workers)
     lines = []
     all_pass = True
     for line in report:

@@ -51,21 +51,6 @@ class Strategy(enum.Enum):
 
 
 @dataclass(frozen=True)
-class OutageEstimate:
-    """Outage rate with the half-width of its 95% Wilson score interval."""
-
-    value: float
-    ci_half_width: float
-    trials: int
-    metric: Metric
-    method: Method = Method.MC
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0 or self.ci_half_width < 0.0:
-            raise ValueError("outage estimate outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class GainReport:
     m_wdt: float
     m_wet: float
@@ -182,10 +167,13 @@ def _row_chunks(size):
     return [slice(r, min(r + CHUNK, size)) for r in range(0, size, CHUNK)]
 
 
-def _sinr_q(desired, interf, q_scale):
+def _sinr(desired, interf):
     with np.errstate(divide="ignore", invalid="ignore"):
-        sinr = np.where(interf > 0.0, desired / interf, np.inf)
-    return sinr, q_scale * (desired + interf)
+        return np.where(interf > 0.0, desired / interf, np.inf)
+
+
+def _sinr_q(desired, interf, q_scale):
+    return _sinr(desired, interf), q_scale * (desired + interf)
 
 
 def _q_scale(cfg) -> float:
@@ -204,9 +192,13 @@ def simulate_outage_counts(
 ) -> dict:
     """Failure counts for all six outage metrics over `trials` realizations.
 
-    With `k_values` (nested ports) or `n_values` (nested antennas) the four
-    max-based metrics are additionally counted per swept value on common
-    random numbers, so the pathwise monotonicity in K and N is exact.
+    Returns ``{"counts": {Metric: int}, "trials": trials}``.  With `k_values`
+    (nested ports) or `n_values` (nested antennas) the four max-based metrics
+    are also counted per swept value on common random numbers, so the
+    pathwise monotonicity in K and N is exact; they come as ``"nested"``
+    ({Metric: int array over the values}) and ``"nested_values"``.  A nested-N
+    run has no ``"counts"``: it draws every antenna on its own, a different
+    stream from the plain run's, and may sum fewer antennas than n_users.
     """
     if k_values is not None and n_values is not None:
         raise ValueError("nest over K or N, not both")
@@ -215,70 +207,53 @@ def simulate_outage_counts(
     q_th = cfg.ehp_threshold
     # nested N sums per-antenna powers cumulatively, so each antenna is a group
     groups = (1,) * max(n_values) if n_values else (1, cfg.n_users - 1)
-    nested_values = k_values or n_values
+    nested_values = k_values or n_values or []
 
     def reduce(p):
-        counts = dict.fromkeys(Metric, 0)
-        nested = ({m: np.zeros(len(nested_values), dtype=np.int64) for m in _NESTED}
-                  if nested_values else None)
+        full = dict.fromkeys(Metric, 0)
+        nested = [dict.fromkeys(_NESTED, 0) for _ in nested_values]
         for rows in _row_chunks(len(p)):
             chunk = p[rows]
             if n_values:
-                _count_nested_n(chunk, n_values, gamma, q_scale, q_th, nested)
-                continue
-            sinr, q = _sinr_q(chunk[:, :, 0], chunk[:, :, 1], q_scale)
-            if k_values:
-                _count_nested_k(sinr, q, k_values, gamma, q_th, nested)
-            _count_full(sinr, q, gamma, q_th, counts)
-        return counts, nested
+                desired, cum = chunk[:, :, 0], np.cumsum(chunk, axis=2)
+                views = ((_sinr(desired, cum[..., n - 1] - desired), q_scale * cum[..., n - 1])
+                         for n in n_values)
+            else:
+                sinr, q = _sinr_q(chunk[:, :, 0], chunk[:, :, 1], q_scale)
+                _count_full(sinr, q, gamma, q_th, full)
+                views = ((sinr[:, :k], q[:, :k]) for k in nested_values)
+            for (sinr_v, q_v), tally in zip(views, nested):
+                _count_max(sinr_v, q_v, gamma, q_th, tally)
+        return full, nested
 
     blocks = _blocks(cfg, trials, seed, cell, groups, reduce)
-    out = {"counts": {m: sum(c[m] for c, _ in blocks) for m in Metric}, "trials": trials}
+    out = {"trials": trials}
+    if not n_values:
+        out["counts"] = {m: sum(full[m] for full, _ in blocks) for m in Metric}
     if nested_values:
-        out["nested"] = {m: sum(nb[m] for _, nb in blocks) for m in _NESTED}
+        per_value = list(zip(*(nested for _, nested in blocks)))
+        out["nested"] = {m: np.array([sum(t[m] for t in tallies) for tallies in per_value])
+                         for m in _NESTED}
         out["nested_values"] = list(nested_values)
     return out
 
 
-def _count_full(sinr, q, gamma, q_th, counts):
+def _count_max(sinr, q, gamma, q_th, counts):
+    """Add a chunk's failures of the four max-based metrics to `counts`."""
     wdt_fail = sinr.max(axis=1) < gamma
     wet_fail = q.max(axis=1) < q_th
-    idx_wdt = np.argmax(sinr, axis=1)
-    idx_wet = np.argmax(q, axis=1)
-    rows = np.arange(sinr.shape[0])
     counts[Metric.WDT_SINR] += int(wdt_fail.sum())
     counts[Metric.WET_EHP] += int(wet_fail.sum())
-    counts[Metric.WET_SINR] += int((q[rows, idx_wdt] < q_th).sum())
-    counts[Metric.WDT_EHP] += int((sinr[rows, idx_wet] < gamma).sum())
     counts[Metric.IDET_SPECIAL] += int((wdt_fail & wet_fail).sum())
     counts[Metric.IDET_GENERAL] += int((wdt_fail | wet_fail).sum())
 
 
-def _count_nested_k(sinr, q, k_values, gamma, q_th, nested):
-    run_sinr = np.maximum.accumulate(sinr, axis=1)
-    run_q = np.maximum.accumulate(q, axis=1)
-    for i, k in enumerate(k_values):
-        wdt = run_sinr[:, k - 1] < gamma
-        wet = run_q[:, k - 1] < q_th
-        nested[Metric.WDT_SINR][i] += int(wdt.sum())
-        nested[Metric.WET_EHP][i] += int(wet.sum())
-        nested[Metric.IDET_SPECIAL][i] += int((wdt & wet).sum())
-        nested[Metric.IDET_GENERAL][i] += int((wdt | wet).sum())
-
-
-def _count_nested_n(p, n_values, gamma, q_scale, q_th, nested):
-    desired = p[:, :, 0]
-    cum = np.cumsum(p, axis=2)
-    for i, n in enumerate(n_values):
-        interf = cum[:, :, n - 1] - desired
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sinr = np.where(interf > 0.0, desired / interf, np.inf)
-        wdt = sinr.max(axis=1) < gamma
-        wet = (q_scale * cum[:, :, n - 1]).max(axis=1) < q_th
-        nested[Metric.WDT_SINR][i] += int(wdt.sum())
-        nested[Metric.WET_EHP][i] += int(wet.sum())
-        nested[Metric.IDET_SPECIAL][i] += int((wdt & wet).sum())
-        nested[Metric.IDET_GENERAL][i] += int((wdt | wet).sum())
+def _count_full(sinr, q, gamma, q_th, counts):
+    """Add a chunk's failures of all six metrics to `counts`."""
+    _count_max(sinr, q, gamma, q_th, counts)
+    rows = np.arange(sinr.shape[0])
+    counts[Metric.WET_SINR] += int((q[rows, np.argmax(sinr, axis=1)] < q_th).sum())
+    counts[Metric.WDT_EHP] += int((sinr[rows, np.argmax(q, axis=1)] < gamma).sum())
 
 
 def wilson_interval(count: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -291,51 +266,13 @@ def wilson_interval(count: int, trials: int, z: float = 1.96) -> tuple[float, fl
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def _estimate(cfg, trials, seed, cell, metric):
-    count = simulate_outage_counts(cfg, trials, seed, cell)["counts"][metric]
-    lo, hi = wilson_interval(count, trials)
-    return OutageEstimate(count / trials, 0.5 * (hi - lo), trials, metric)
-
-
-_STRATEGY_METRIC = {
-    (Strategy.WDT, Strategy.WDT): Metric.WDT_SINR,
-    (Strategy.WDT, Strategy.WET): Metric.WET_SINR,
-    (Strategy.WET, Strategy.WET): Metric.WET_EHP,
-    (Strategy.WET, Strategy.WDT): Metric.WDT_EHP,
-}
-
-
-def estimate_outage(
-    cfg: SystemConfig,
-    strategy: Strategy,
-    metric: Strategy,
-    trials: int,
-    seed: int,
-    cell: int = 0,
-) -> OutageEstimate:
-    """Outage of `metric` (WDT=SINR test, WET=EHP test) under `strategy`'s port."""
-    return _estimate(cfg, trials, seed, cell, _STRATEGY_METRIC[(strategy, metric)])
-
-
-def estimate_idet(
-    cfg: SystemConfig, trials: int, seed: int, kind: str = "SPECIAL", cell: int = 0
-) -> OutageEstimate:
-    """IDET outage: SPECIAL = every port fails both; GENERAL = either max fails."""
-    m = Metric.IDET_SPECIAL if kind.upper() == "SPECIAL" else Metric.IDET_GENERAL
-    return _estimate(cfg, trials, seed, cell, m)
-
-
 def multiplexing_gains(outages: dict, n_users: int) -> GainReport:
-    """N (1 - outage) for the four gain-bearing metrics."""
-    def val(metric):
-        o = outages[metric]
-        return o.value if isinstance(o, OutageEstimate) else float(o)
-
+    """N (1 - outage) for the four gain-bearing metrics, from outage rates per Metric."""
     return GainReport(
-        m_wdt=n_users * (1.0 - val(Metric.WDT_SINR)),
-        m_wet=n_users * (1.0 - val(Metric.WET_EHP)),
-        m_idet_special=n_users * (1.0 - val(Metric.IDET_SPECIAL)),
-        m_idet_general=n_users * (1.0 - val(Metric.IDET_GENERAL)),
+        m_wdt=n_users * (1.0 - outages[Metric.WDT_SINR]),
+        m_wet=n_users * (1.0 - outages[Metric.WET_EHP]),
+        m_idet_special=n_users * (1.0 - outages[Metric.IDET_SPECIAL]),
+        m_idet_general=n_users * (1.0 - outages[Metric.IDET_GENERAL]),
     )
 
 

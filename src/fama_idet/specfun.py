@@ -51,14 +51,13 @@ def _poisson_k_range(lam_min: float, lam_max: float) -> tuple[int, int]:
     # Poisson survival P(K > k) = gammainc(k+1, lam), increasing in lam.
     while sp.gammainc(k_hi + 1, lam_max) > _REL_TOL:
         k_hi = int(1.5 * k_hi) + 16
-        if k_hi > _MAX_TERMS:
-            raise SeriesConvergenceError(
-                f"Marcum-Q Poisson mixture needs more than {_MAX_TERMS} terms"
-            )
     k_lo = max(0, int(lam_min - 12.0 * math.sqrt(lam_min + 1.0) - 30.0))
     # P(K < k_lo) = gammaincc(k_lo, lam), decreasing in lam.
     while k_lo > 0 and sp.gammaincc(k_lo, lam_min) > _REL_TOL:
         k_lo //= 2
+    if k_hi - k_lo + 1 > _MAX_TERMS:
+        raise SeriesConvergenceError(f"Marcum-Q Poisson mixture needs {k_hi - k_lo + 1} "
+                                     f"terms, more than the cap of {_MAX_TERMS}")
     return k_lo, k_hi
 
 
@@ -88,7 +87,8 @@ def marcum_q_outer(order: int, a, b) -> np.ndarray:
     truncated once the remaining Poisson tail mass drops below 1e-10.
     Every term lies in [0, 1], so the truncation error is bounded by the
     discarded mass.  The k-sum collapses to one matrix product, which is
-    what makes the quadrature kernels affordable.
+    what makes the quadrature kernels affordable.  A window wider than
+    _MAX_TERMS raises SeriesConvergenceError rather than build the grid.
     """
     if order < 1 or order != int(order):
         raise ValueError("order must be a positive integer")

@@ -29,6 +29,7 @@ from fama_idet.analytic import (
 )
 from fama_idet.channel import SystemConfig
 from fama_idet.montecarlo import Metric, simulate_outage_counts, wilson_interval
+from fama_idet.specfun import SeriesConvergenceError
 
 
 def ctx_from(**kw):
@@ -124,9 +125,15 @@ class TestEdgeCases:
             fn(ctx_from(**SMALL, rician_k=2.0))
 
     def test_node_cap_enforced(self):
-        quad = QuadratureSpec(nodes_semiinfinite=150, richardson_check=False)
-        with pytest.raises(ValueError):
-            wet_ehp_exact(ctx_from(**SMALL), quad)
+        with pytest.raises(ValueError, match="node counts"):
+            QuadratureSpec(nodes_semiinfinite=150, richardson_check=False)
+        QuadratureSpec(nodes_semiinfinite=100, nodes_finite=8)
+
+    def test_small_aperture_hits_series_cap(self):
+        # W = 0.05 needs a Marcum window of about 44k terms, past the cap:
+        # refused up front instead of building a gamma grid of gigabytes
+        with pytest.raises(SeriesConvergenceError, match="terms"):
+            wet_sinr_exact(ctx_from(n_users=5, n_ports=200, fa_size=0.05))
 
     def test_richardson_gate_raises_when_unreachable(self):
         quad = QuadratureSpec(nodes_semiinfinite=8, nodes_finite=8,

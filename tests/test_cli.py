@@ -206,12 +206,6 @@ class TestCliEntry:
         assert main(["sweep", cfg, "--workers", "8", "--out", o8]) == 0
         assert open(o1, "rb").read() == open(o8, "rb").read()
 
-    def test_env_var_worker_default(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, BASE_CFG)
-        o = str(tmp_path / "env.csv")
-        monkeypatch.setenv("FAMA_IDET_WORKERS", "4")
-        assert main(["sweep", cfg, "--out", o]) == 0
-
     def test_json_output_schema(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG)
         out = str(tmp_path / "r.json")

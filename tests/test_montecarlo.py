@@ -23,8 +23,6 @@ from fama_idet.montecarlo import (
     Metric,
     Strategy,
     estimate_energy_efficiency,
-    estimate_idet,
-    estimate_outage,
     independence_diagnostic,
     los_phases,
     multiplexing_gains,
@@ -198,6 +196,15 @@ class TestNestedSweeps:
         plain = simulate_outage_counts(cfg, 2000, seed=1)["counts"]
         assert [plain[m] for m in Metric] == [1395, 103, 1838, 0, 0, 1395]
 
+    def test_nested_n_has_no_full_counts(self):
+        # a nested-N run draws each antenna on its own stream layout, so it
+        # has no counts of the config's own six metrics to report
+        cfg = SystemConfig(n_users=5, n_ports=4, fa_size=2, ehp_threshold=0.05)
+        res = simulate_outage_counts(cfg, 2000, seed=1, n_values=[2, 3, 5])
+        assert "counts" not in res
+        assert res["nested_values"] == [2, 3, 5]
+        assert res["nested"][Metric.WDT_SINR].tolist() == [416, 1275, 1900]
+
     def test_nesting_both_axes_rejected(self):
         with pytest.raises(ValueError):
             simulate_outage_counts(cfg_small(), TRIALS, seed=0,
@@ -205,31 +212,23 @@ class TestNestedSweeps:
 
 
 class TestEstimates:
-    def test_outage_estimate_fields(self):
-        cfg = cfg_small()
-        est = estimate_outage(cfg, Strategy.WDT, Strategy.WDT, TRIALS, seed=4)
-        assert est.metric is Metric.WDT_SINR
-        assert est.trials == TRIALS
-        assert 0.0 <= est.value <= 1.0
-        # Wilson score half-width
-        p, z2 = est.value, 1.96 ** 2
+    def test_wilson_half_width_of_counts(self):
+        res = simulate_outage_counts(cfg_small(), TRIALS, seed=4)
+        count = res["counts"][Metric.WDT_SINR]
+        assert res["trials"] == TRIALS and 0 < count < TRIALS
+        lo, hi = wilson_interval(count, TRIALS)
+        # Wilson score half-width, away from the clamps at 0 and 1
+        p, z2 = count / TRIALS, 1.96 ** 2
         want_ci = 1.96 / (1 + z2 / TRIALS) * math.sqrt(
             p * (1 - p) / TRIALS + z2 / (4 * TRIALS ** 2))
-        assert est.ci_half_width == pytest.approx(want_ci, rel=1e-12)
+        assert 0.0 < lo < p < hi < 1.0
+        assert 0.5 * (hi - lo) == pytest.approx(want_ci, rel=1e-12)
 
     def test_wilson_interval_keeps_width_at_extreme_counts(self):
         lo, hi = wilson_interval(0, 100_000)
         assert lo == 0.0 < hi
         lo, hi = wilson_interval(100_000, 100_000)
         assert lo < hi == 1.0
-
-    def test_idet_kinds(self):
-        cfg = cfg_small()
-        special = estimate_idet(cfg, TRIALS, seed=4, kind="SPECIAL")
-        general = estimate_idet(cfg, TRIALS, seed=4, kind="GENERAL")
-        assert special.metric is Metric.IDET_SPECIAL
-        assert general.metric is Metric.IDET_GENERAL
-        assert general.value >= special.value
 
     def test_multiplexing_gains(self):
         cfg = cfg_small(n_users=4, n_ports=4)

@@ -98,6 +98,12 @@ class TestMarcumQ:
         with pytest.raises(SeriesConvergenceError):
             marcum_q_outer(1, [1.0], [1.0])
 
+    def test_wide_window_hits_series_cap(self):
+        # a^2/2 = 80000 puts the Poisson window at 83,425 terms, past the
+        # cap at the default constants
+        with pytest.raises(SeriesConvergenceError, match="83425 terms"):
+            marcum_q_outer(1, [0.0, 400.0], [1.0])
+
     @given(
         a=st.floats(0.0, 15.0),
         b=st.floats(0.0, 15.0),
