@@ -9,7 +9,8 @@ reduce to K-th powers of inner one-port kernels.  A LoS component
 Rician expression refuse it rather than return the Rayleigh value.
 Semi-infinite axes use Gauss-Laguerre after r = 2t, finite inner ranges use
 Gauss-Legendre, and the optional Richardson check re-evaluates at 1.5x
-nodes to bound the truncation error.
+nodes to bound the truncation error.  Marcum Q and the pdf beyond 2 dof come
+as node grids from specfun's Poisson mixtures, contracted by BLAS products.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from scipy import special as sp
 
 from .channel import SystemConfig
-from .specfun import bessel_i_ln, marcum_q_outer
+from .specfun import bessel_i_ln, marcum_q_outer, ncx2_pdf_outer
 
 # Inner kernels are clamped here before K*log(.) so the K-th power stays finite.
 _FLOOR = 1e-300
@@ -132,20 +133,10 @@ def _ncx2_quad(m: int, lam: float, n_nodes: int):
     return v, np.exp(logw + extra)
 
 
-def _ncx2_pdf(m: int, lam, x):
-    """Noncentral chi-square pdf with 2m dof, stable at large arguments."""
-    lam = np.asarray(lam, dtype=float)
-    x = np.asarray(x, dtype=float)
-    # ive is e^{-|arg|} I; its scaling exponent is exactly the sqrt(lam x)
-    # cross term of the completed square in the exponent
-    expo = -0.5 * (np.sqrt(lam) - np.sqrt(x)) ** 2
-    if m == 1:
-        # i0e equals ive(0, .) to rounding and costs a fraction of it
-        return 0.5 * np.exp(expo) * sp.i0e(np.sqrt(lam * x))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ln = (np.log(sp.ive(m - 1, np.sqrt(lam * x))) + expo
-              + 0.5 * (m - 1) * (np.log(x) - np.log(lam)))
-    return 0.5 * np.exp(ln)
+def _ncx2_pdf(lam, x):
+    """Noncentral chi-square pdf with 2 dof, stable at large arguments."""
+    # i0e = e^{-|arg|} I_0: its scaling is the sqrt(lam x) cross term of the exponent
+    return 0.5 * np.exp(-0.5 * (np.sqrt(lam) - np.sqrt(x)) ** 2) * sp.i0e(np.sqrt(lam * x))
 
 
 def _pow_k(values: np.ndarray, k: int) -> np.ndarray:
@@ -190,15 +181,15 @@ def _wdt_sinr_raw(ctx: KernelContext, ns: int, lam1: float, lam2: float) -> floa
     b = np.sqrt(c * v1 / (g + 1.0))
     q = marcum_q_outer(n - 1, a, b)         # rows: v2 nodes, cols: v1 nodes
 
-    # Bessel sum with the stable exponent -c (sqrt(g v2) - sqrt(v1))^2 / (2(g+1))
+    # Bessel sum in logs, finite where I_n(x) and exp(-c (g v2 + v1)/(2(g+1))) are not
     x = c * np.sqrt(g * np.outer(v2, v1)) / (g + 1.0)
-    expo = -c * (np.sqrt(g * v2)[:, None] - np.sqrt(v1)[None, :]) ** 2 / (2.0 * (g + 1.0))
+    expo = -c * (g * v2[:, None] + v1[None, :]) / (2.0 * (g + 1.0))
     log_ratio = 0.5 * (np.log(v1)[None, :] - np.log(v2)[:, None])
     s = np.zeros_like(x)
     for k in range(n - 1):
         for j in range(n - 1 - k):
             coeff = math.comb(n - k - 2, j) * (g + 1.0) ** k * g ** (0.5 * (j - k))
-            s += coeff * sp.ive(j + k, x) * np.exp((j + k) * log_ratio + expo)
+            s += coeff * np.exp(bessel_i_ln(j + k, x) + (j + k) * log_ratio + expo)
     s *= (g + 1.0) ** (1 - n)
 
     return float(w2 @ _pow_k(q - s, kp) @ w1)
@@ -364,18 +355,21 @@ def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int) -> float:
     q_qy = qmat[:, n1:n1 + n2].reshape(ns, nf, nf)
     q_zy = qmat[:, n1 + n2:].reshape(ns, nf, n_yp)
 
-    # inner bracket integral over y, weighted by the conditional Y pdf
-    f_y = _ncx2_pdf(n - 1, (c * v2)[:, None, None], ygrid[None, :, :])   # (j, z, s)
-    inner = np.einsum("izs,jzs,s->ijz", q_yz - q_qy, f_y, ws) * (qh / (1.0 + z))[None, None, :]
+    # inner bracket integral over y, weighted by the conditional Y pdf f_y
+    # (j, z, s; the i0e form at 2 dof beats the mixture at wide windows); the
+    # arrays below are laid out (i, z, j), so each contraction is a matmul
+    f_y = (ncx2_pdf_outer(n - 1, c * v2, ygrid.ravel()).reshape(ns, nf, nf) if n > 2
+           else _ncx2_pdf((c * v2)[:, None, None], ygrid[None, :, :]))
+    inner = np.matmul((q_yz - q_qy).transpose(1, 0, 2), (f_y * ws).transpose(1, 2, 0))
+    inner = inner.transpose(1, 0, 2) * (qh / (1.0 + z))[:, None]
 
     # competing-port pdf f_A(z) = (K-1) (1-H)^{K-2} * Dinner
-    h = np.einsum("jp,izp->ijz", wy, q_zy)
-    f_x = _ncx2_pdf(1, (c * v1)[:, None, None], z[None, :, None] * yq[None, None, :])
-    dinner = np.einsum("jp,izp->ijz", wy * yq[None, :], f_x)
+    h = np.tensordot(q_zy, wy, axes=(2, 1))
+    f_x = _ncx2_pdf((c * v1)[:, None, None], z[None, :, None] * yq[None, None, :])
+    dinner = np.tensordot(f_x, wy * yq[None, :], axes=(2, 1))
     f_a = (kp - 1) * _pow_k(1.0 - h, kp - 2) * dinner
 
-    val = np.einsum("i,j,ijz,z->", w1, w2, f_a * inner, wz)
-    return kp * float(val)
+    return kp * float(w1 @ ((f_a * inner) @ w2) @ wz)
 
 
 def wet_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -450,7 +444,7 @@ def _idet_special_raw(ctx: KernelContext, ns: int, nf: int) -> float:
     qm = marcum_q_outer(n - 1, a2, b)
     diff = qm[:, :nf] - qm[:, nf:]                  # (j, s)
 
-    f_x = _ncx2_pdf(1, (c * v1)[:, None], x[None, :])        # (i, s)
+    f_x = _ncx2_pdf((c * v1)[:, None], x[None, :])           # (i, s)
     inner = upper * np.einsum("js,is,s->ij", diff, f_x, wx)  # rows i: v1, cols j: v2
     return float(w1 @ _pow_k(inner, kp) @ w2)
 

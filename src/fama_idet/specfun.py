@@ -1,7 +1,8 @@
 """Special functions the analytic outage expressions need beyond scipy.
 
 Everything here is pure and reentrant.  Scalar arguments give scalar
-results; array arguments broadcast in the usual numpy way.
+results; array arguments broadcast in the usual numpy way.  The *_outer
+functions return whole grids, contracted from one chunked Poisson term table.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ import math
 import numpy as np
 from scipy import special as sp
 
-# Poisson mass the Marcum mixture may discard, and its term cap.
+# Poisson mass a mixture may discard, its term cap, and the terms one chunk
+# of the term table may hold (16 MB).
 _REL_TOL = 1e-10
 _MAX_TERMS = 10_000
+_CHUNK_ENTRIES = 2 ** 21
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -56,23 +59,25 @@ def _poisson_k_range(lam_min: float, lam_max: float) -> tuple[int, int]:
     while k_lo > 0 and sp.gammaincc(k_lo, lam_min) > _REL_TOL:
         k_lo //= 2
     if k_hi - k_lo + 1 > _MAX_TERMS:
-        raise SeriesConvergenceError(f"Marcum-Q Poisson mixture needs {k_hi - k_lo + 1} "
+        raise SeriesConvergenceError(f"Poisson mixture needs {k_hi - k_lo + 1} "
                                      f"terms, more than the cap of {_MAX_TERMS}")
     return k_lo, k_hi
 
 
 def _poisson_weights(lam: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Poisson pmf matrix exp(k ln(lam) - lam - ln k!), rows over lam."""
-    lam = lam[:, None]
-    out = np.zeros((lam.shape[0], ks.shape[0]))
-    pos = lam[:, 0] > 0.0
-    if np.any(pos):
-        with np.errstate(divide="ignore"):
-            out[pos] = np.exp(
-                ks[None, :] * np.log(lam[pos]) - lam[pos] - sp.gammaln(ks + 1.0)[None, :]
-            )
-    if np.any(~pos):
-        out[~pos] = (ks == 0).astype(float)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.exp(ks * np.log(lam)[:, None] - lam[:, None] - sp.gammaln(ks + 1.0))
+    out[lam == 0.0] = ks == 0
+    return out
+
+
+def _poisson_mixture(weights: np.ndarray, orders: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """weights @ pois(orders; x).T, the term table built _CHUNK_ENTRIES at a time."""
+    out = np.empty((weights.shape[0], x.shape[0]))
+    cols = _CHUNK_ENTRIES // orders.shape[0]     # the term cap keeps this >= 209
+    for lo in range(0, x.shape[0], cols):
+        out[:, lo:lo + cols] = weights @ _poisson_weights(x[lo:lo + cols], orders).T
     return out
 
 
@@ -86,9 +91,12 @@ def marcum_q_outer(order: int, a, b) -> np.ndarray:
 
     truncated once the remaining Poisson tail mass drops below 1e-10.
     Every term lies in [0, 1], so the truncation error is bounded by the
-    discarded mass.  The k-sum collapses to one matrix product, which is
-    what makes the quadrature kernels affordable.  A window wider than
-    _MAX_TERMS raises SeriesConvergenceError rather than build the grid.
+    discarded mass.  GammaReg(s + 1, x) = GammaReg(s, x) + pois(s; x) turns
+    the sum over the window k_lo..k_hi into (sum_k p_k) GammaReg(N + k_lo, x)
+    + sum_j T_j pois(N + k_lo + j; x) with T_j = sum_{k > j} p_k: one gamma
+    per b-value plus a product with the Poisson term table, with no
+    cancellation; the window follows a alone, so far above a the upper tail
+    is truncated.  A window wider than _MAX_TERMS raises SeriesConvergenceError.
     """
     if order < 1 or order != int(order):
         raise ValueError("order must be a positive integer")
@@ -101,8 +109,23 @@ def marcum_q_outer(order: int, a, b) -> np.ndarray:
     k_lo, k_hi = _poisson_k_range(float(lam.min()), float(lam.max()))
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
     pmat = _poisson_weights(lam, ks)
-    gmat = sp.gammaincc(order + ks[:, None], x[None, :])
-    out = pmat @ gmat
+    tail = np.cumsum(pmat[:, :0:-1], axis=1)[:, ::-1]
+    out = _poisson_mixture(tail, order + ks[:-1], x)
+    out += pmat.sum(axis=1)[:, None] * sp.gammaincc(order + k_lo, x)[None, :]
     np.clip(out, 0.0, 1.0, out=out)
     out[:, x == 0.0] = 1.0
     return out
+
+
+def ncx2_pdf_outer(m: int, lam, x) -> np.ndarray:
+    """Noncentral chi-square pdf with 2m dof on the outer grid of lam x x.
+
+    0.5 sum_k pois(k; lam/2) pois(m - 1 + k; x/2) over the Poisson term table;
+    the terms peak near k = sqrt(lam x) / 2, so the window sits at that
+    geometric mean and the relative accuracy holds also where x >> lam.
+    """
+    alpha, beta = 0.5 * np.asarray(lam, dtype=float), 0.5 * np.asarray(x, dtype=float)
+    k_lo, k_hi = _poisson_k_range(math.sqrt(alpha.min() * beta.min()),
+                                  math.sqrt(alpha.max() * beta.max()))
+    ks = np.arange(k_lo, k_hi + 1, dtype=float)
+    return 0.5 * _poisson_mixture(_poisson_weights(alpha, ks), m - 1 + ks, beta)

@@ -286,3 +286,32 @@ class TestContext:
             KernelContext(mu=0.5, gamma_th=0.0, q_hat=1.0, n_users=2, n_ports=2)
         with pytest.raises(ValueError):
             KernelContext(mu=0.5, gamma_th=1.0, q_hat=-1.0, n_users=2, n_ports=2)
+
+
+class TestPinnedExact:
+    """Pinned EXACT values at four cells, the EXACT twin of TestPinnedStream.
+
+    A change of the quadrature or of a special function that moves a value
+    by more than 1e-12 relative fails here, down to the 9e-29 WET_EHP and
+    the 2.5e-16 IDET_SPECIAL that no Monte-Carlo oracle can resolve.
+    """
+
+    # (N, K, W, Q_th) -> WDT_SINR, WET_SINR, WET_EHP, IDET_SPECIAL
+    PINNED = {
+        (5, 200, 5.0, 0.110): (0.08988908271377039, 0.9854814618946255,
+                               0.056168548456402595, 0.0048857773635323665),
+        (3, 8, 2.0, 0.030): (0.39924993446036094, 0.5816818202096804,
+                             0.015725599813330632, 0.006149846999287868),
+        (3, 64, 2.0, 0.030): (0.002101797285288749, 0.5909440190151508,
+                              4.562793373668492e-13, 2.493816414534503e-16),
+        (3, 16, 2.0, 0.005): (0.16810123255092577, 0.014865982130781608,
+                              9.328847379297701e-29, 1.4085013375789918e-29),
+    }
+
+    @pytest.mark.parametrize("cell", list(PINNED), ids=lambda c: "N{}-K{}-W{}-Q{}".format(*c))
+    def test_values(self, cell):
+        n, k, w, q = cell
+        ctx = ctx_from(n_users=n, n_ports=k, fa_size=w, ehp_threshold=q)
+        fns = (wdt_sinr_exact, wet_sinr_exact, wet_ehp_exact, idet_special_exact)
+        for fn, want in zip(fns, self.PINNED[cell]):
+            assert fn(ctx) == pytest.approx(want, rel=1e-12, abs=0.0), fn.__name__

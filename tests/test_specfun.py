@@ -7,6 +7,7 @@ wrappers' checks.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fama_idet.specfun import (
     bessel_i_ln,
     marcum_q_outer,
     mu_from_w,
+    ncx2_pdf_outer,
 )
 
 # (order, a, b, Q_order(a, b)) from mpmath's Poisson-gamma representation
@@ -104,6 +106,50 @@ class TestMarcumQ:
         with pytest.raises(SeriesConvergenceError, match="83425 terms"):
             marcum_q_outer(1, [0.0, 400.0], [1.0])
 
+    @staticmethod
+    def _gamma_table_mixture(orders, a, b):
+        # the Poisson-gamma mixture term by term, one gamma per (k, b) over
+        # the same window: what the gamma-order recurrence must reproduce.
+        # One table of GammaReg(s, x) serves every order.
+        lam, x = 0.5 * np.square(a), 0.5 * np.square(b)
+        k_lo, k_hi = specfun._poisson_k_range(lam.min(), lam.max())
+        ks = np.arange(k_lo, k_hi + 1, dtype=float)
+        pmat = specfun._poisson_weights(lam, ks)
+        gamma = sp.gammaincc(np.arange(k_lo + 1, k_hi + max(orders) + 1.0)[:, None], x[None, :])
+        for order in orders:
+            out = pmat @ gamma[order - 1:order + ks.size - 1]
+            np.clip(out, 0.0, 1.0, out=out)
+            out[:, x == 0.0] = 1.0
+            yield order, out
+
+    @pytest.mark.parametrize("a,rel", [
+        (np.array([0.0, 0.5, 2.0, 5.0, 9.0, 12.0]), 1e-12),
+        (np.array([math.sqrt(2000.0)]), 5e-11),
+        (np.array([math.sqrt(8000.0)]), 5e-11),
+    ], ids=["a<=12", "a2/2=1000", "a2/2=4000"])
+    def test_recurrence_matches_gamma_table(self, a, rel):
+        # 5,000 b-values span several term-table chunks at the wide windows
+        # and reach below 1e-290 in the upper tail
+        b = np.concatenate([[0.0], np.linspace(0.01, 130.0, 4999)])
+        for order, want in self._gamma_table_mixture((1, 2, 4, 7), a, b):
+            got = marcum_q_outer(order, a, b)
+            live = want > 1e-290
+            assert np.all(got[:, 0] == 1.0)
+            assert np.max(np.abs(got[live] - want[live]) / want[live]) <= rel
+
+    def test_memory_bounded_at_wide_window(self):
+        # the a-grid of a W = 0.3 evaluation: a window of 2,221 terms, whose
+        # full gamma table over these b-values would take 145 MB
+        a = np.sqrt(6.38 * 2.0 * sp.roots_laguerre(72)[0])
+        b = np.sqrt(np.linspace(0.0, 4000.0, 8192))
+        tracemalloc.start()
+        try:
+            marcum_q_outer(1, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2 ** 20
+
     @given(
         a=st.floats(0.0, 15.0),
         b=st.floats(0.0, 15.0),
@@ -126,6 +172,31 @@ class TestMarcumQ:
     def test_increasing_in_a(self, b, order):
         qs = marcum_q_outer(order, [0.0, 0.5, 1.0, 2.0, 5.0], [b])[:, 0]
         assert np.all(np.diff(qs) >= -1e-12)
+
+
+class TestNcx2Pdf:
+    @staticmethod
+    def _bessel_form(m, lam, x):
+        # 0.5 (x/lam)^((m-1)/2) exp(-(lam + x)/2) I_{m-1}(sqrt(lam x)), with
+        # the exponentially scaled Bessel carrying the sqrt(lam x) cross term
+        lam, x = lam[:, None], x[None, :]
+        return 0.5 * np.exp(np.log(sp.ive(m - 1, np.sqrt(lam * x)))
+                            - 0.5 * (np.sqrt(lam) - np.sqrt(x)) ** 2
+                            + 0.5 * (m - 1) * (np.log(x) - np.log(lam)))
+
+    @pytest.mark.parametrize("m", [2, 4, 7])
+    def test_matches_bessel_form(self, m):
+        # scipy.stats.ncx2.pdf is no oracle here: below 1e-30 at lam >= 400
+        # it is off by up to 100% relative at some points
+        lam = np.array([0.0, 0.5, 3.0, 20.0, 100.0, 400.0, 1500.0, 4000.0])
+        x = np.concatenate([[0.0], np.linspace(0.01, 5600.0, 2999)])
+        got = ncx2_pdf_outer(m, lam, x)
+        assert got.shape == (8, 3000)
+        want = self._bessel_form(m, lam[1:], x[1:])
+        live = want > 1e-30
+        assert np.max(np.abs(got[1:, 1:][live] - want[live]) / want[live]) <= 1e-11
+        assert got[0] == pytest.approx(stats.chi2.pdf(x, 2 * m), rel=1e-12)
+        assert np.all(got[:, 0] == 0.0)
 
 
 class TestHypergeometric:
