@@ -10,7 +10,6 @@ approximations (:mod:`fama_idet.analytic`).
 from .analytic import (
     ClosedFormPair,
     DEFAULT_QUAD,
-    IdetSpecialApprox,
     KernelContext,
     QuadratureConvergenceError,
     QuadratureSpec,
@@ -47,7 +46,6 @@ __all__ = [
     "DEFAULT_QUAD",
     "EnergyEfficiencyReport",
     "GainReport",
-    "IdetSpecialApprox",
     "KernelContext",
     "Method",
     "Metric",

@@ -116,20 +116,23 @@ def _legendre01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _ncx2_quad(m: int, lam: float, n_nodes: int):
+def _ncx2_quad(m: int, lam, n_nodes: int):
     """Nodes v and weights for E[g(v)], v ~ noncentral chi-square(2m, lam).
 
-    Substitution v = 2t folds the e^{-v/2} density factor into the
-    Gauss-Laguerre weight; lam = 0 reduces to the central chi-square.
+    `lam` is one rate or an array of rates shaped to broadcast against the
+    nodes, one row per rate (lam[:, None]); the weights then have one row
+    per rate.  Substitution v = 2t folds the e^{-v/2} density factor into
+    the Gauss-Laguerre weight; lam = 0 reduces to the central chi-square.
     """
     t, logw = _laguerre(n_nodes)
     v = 2.0 * t
-    if lam == 0.0:
+    if np.ndim(lam) == 0 and lam == 0.0:
         extra = (m - 1) * np.log(t) - sp.gammaln(m) if m > 1 else 0.0
     else:
         extra = -0.5 * lam + bessel_i_ln(m - 1, np.sqrt(2.0 * lam * t))
         if m > 1:
-            extra = extra + 0.5 * (m - 1) * (np.log(v) - math.log(lam))
+            log_lam = math.log(lam) if np.ndim(lam) == 0 else np.log(lam)
+            extra = extra + 0.5 * (m - 1) * (np.log(v) - log_lam)
     return v, np.exp(logw + extra)
 
 
@@ -324,19 +327,12 @@ def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int) -> float:
     z = (tz / (1.0 - tz)) ** 2
     wz = wz0 * 2.0 * tz / (1.0 - tz) ** 3
 
-    # shared Laguerre grid for the inner conditional-Y integrals; the
-    # integrands are functions of sqrt(y'), whose kink at 0 makes plain
-    # Laguerre converge algebraically, so this axis is oversampled
-    # (capped where the Laguerre weights would underflow)
-    n_yp = min(4 * ns, 150)
-    ty, logwy = _laguerre(n_yp)
-    yq = 2.0 * ty
-    wy = np.exp(
-        logwy[None, :]
-        - 0.5 * c * v2[:, None]
-        + bessel_i_ln(n - 2, np.sqrt(2.0 * c * np.outer(v2, ty)))
-        + (0.5 * (n - 2) * (np.log(yq)[None, :] - np.log(c * v2)[:, None]) if n > 2 else 0.0)
-    )                                               # (j, p): f_Y|v2_j quadrature weights
+    # shared Laguerre grid for the inner conditional-Y integrals, weighted
+    # by f_Y|v2_j (one row per v2 node); the integrands are functions of
+    # sqrt(y'), whose kink at 0 makes plain Laguerre converge algebraically,
+    # so this axis is oversampled (capped where the Laguerre weights would
+    # underflow)
+    yq, wy = _ncx2_quad(n - 1, (c * v2)[:, None], min(4 * ns, 150))  # wy: (j, p)
 
     # finite y-range [0, qh/(1+z)] for the outage bracket; y = range * s^2
     # keeps sqrt(y) in the Marcum and Bessel arguments smooth at y = 0
@@ -353,7 +349,7 @@ def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int) -> float:
     n1, n2 = b_yz.size, b_qy.size
     q_yz = qmat[:, :n1].reshape(ns, nf, nf)
     q_qy = qmat[:, n1:n1 + n2].reshape(ns, nf, nf)
-    q_zy = qmat[:, n1 + n2:].reshape(ns, nf, n_yp)
+    q_zy = qmat[:, n1 + n2:].reshape(ns, nf, yq.size)
 
     # inner bracket integral over y, weighted by the conditional Y pdf f_y
     # (j, z, s; the i0e form at 2 dof beats the mixture at wide windows); the
@@ -463,30 +459,12 @@ def idet_special_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) 
     )
 
 
-@dataclass(frozen=True)
-class IdetSpecialApprox:
-    """Independence-based product approximation with its regime label."""
-
-    value: float
-    wdt: float
-    wet: float
-    regime: str      # WDT_DOMINANT, WET_DOMINANT or MIXED
-
-
-def idet_special_approx(
-    ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD
-) -> IdetSpecialApprox:
-    """Product of the two all-port outages, valid when ports decouple (small mu)."""
+def idet_special_approx(ctx: KernelContext) -> float:
+    """Product of the WDT_SINR theorem and the WET_EHP closed form: the
+    joint all-port outage when the two events decouple (small mu).  Where
+    a factor clamps at 0 outside its first-order regime, so does the product."""
     _rayleigh_only(ctx, "idet_special_approx")
-    wdt = wdt_sinr_exact(ctx, quad)
-    wet = wet_ehp_exact(ctx, quad)
-    if wdt >= 10.0 * wet:
-        regime = "WDT_DOMINANT"
-    elif wet >= 10.0 * wdt:
-        regime = "WET_DOMINANT"
-    else:
-        regime = "MIXED"
-    return IdetSpecialApprox(value=wdt * wet, wdt=wdt, wet=wet, regime=regime)
+    return wdt_sinr_approx(ctx).theorem * wet_ehp_approx(ctx)
 
 
 def idet_general(wdt: float, wet: float, special: float, tol: float = 1e-6) -> float:

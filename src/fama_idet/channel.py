@@ -105,11 +105,6 @@ def _compose(xk, yk, x0, y0, mu):
     return (s * xk + mu * x0) + 1j * (s * yk + mu * y0)
 
 
-def draw_los_phases(cfg: SystemConfig, ue: int, rng: np.random.Generator) -> np.ndarray:
-    """One fixed LoS phase per BS antenna, uniform on [0, 2 pi)."""
-    return rng.uniform(0.0, 2.0 * math.pi, size=cfg.n_users)
-
-
 def generate_rayleigh(
     cfg: SystemConfig, ue: int, rng: np.random.Generator
 ) -> ChannelRealization:

@@ -178,38 +178,33 @@ _EXACT_RAYLEIGH = {
 }
 
 
-def _exact_value(ctx: KernelContext, metric: Metric, known: dict) -> float:
-    """EXACT value of `metric`.  `known` holds the cell's values computed so
-    far; successes are added to it, so IDET_GENERAL reuses its three parts
-    and a part that raised is evaluated (and raises) again."""
+# One closed form per metric; each refuses Rician cells.
+_CLOSED_FORM = {
+    Metric.WDT_SINR: lambda ctx: analytic.wdt_sinr_approx(ctx).theorem,
+    Metric.WET_SINR: analytic.wet_sinr_approx,
+    Metric.WDT_EHP: analytic.wdt_ehp_approx,
+    Metric.WET_EHP: analytic.wet_ehp_approx,
+    Metric.IDET_SPECIAL: analytic.idet_special_approx,
+}
+
+
+def _analytic_value(ctx: KernelContext, metric: Metric, table: dict, known: dict) -> float:
+    """Value of `metric` by the evaluators of `table`.  `known` holds the
+    cell's values by that table so far; successes are added to it, so
+    IDET_GENERAL reuses its three parts and a part that raised is evaluated
+    (and raises) again."""
     if metric in known:
         return known[metric]
     if metric is Metric.IDET_GENERAL:
         # IDET_SPECIAL first: a Rician cell refuses it before the others run
-        special = _exact_value(ctx, Metric.IDET_SPECIAL, known)
-        v = analytic.idet_general(_exact_value(ctx, Metric.WDT_SINR, known),
-                                  _exact_value(ctx, Metric.WET_EHP, known), special)
+        special = _analytic_value(ctx, Metric.IDET_SPECIAL, table, known)
+        v = analytic.idet_general(_analytic_value(ctx, Metric.WDT_SINR, table, known),
+                                  _analytic_value(ctx, Metric.WET_EHP, table, known),
+                                  special)
     else:
-        v = _EXACT_RAYLEIGH[metric](ctx)
+        v = table[metric](ctx)
     known[metric] = v
     return v
-
-
-def _closed_form_value(ctx: KernelContext, metric: Metric) -> float:
-    if metric is Metric.WDT_SINR:
-        return analytic.wdt_sinr_approx(ctx).theorem
-    if metric is Metric.WET_SINR:
-        return analytic.wet_sinr_approx(ctx)
-    if metric is Metric.WDT_EHP:
-        return analytic.wdt_ehp_approx(ctx)
-    if metric is Metric.WET_EHP:
-        return analytic.wet_ehp_approx(ctx)
-    if metric is Metric.IDET_SPECIAL:
-        return analytic.idet_special_approx(ctx).value
-    wdt = analytic.wdt_sinr_approx(ctx).theorem
-    wet = analytic.wet_ehp_approx(ctx)
-    special = analytic.idet_special_approx(ctx).value
-    return min(1.0, max(0.0, wdt + wet - special))
 
 
 def _error_kind(exc: Exception) -> str:
@@ -244,15 +239,17 @@ def _evaluate_cell(spec: SweepSpec, idx: int, value) -> list[dict]:
             rows.append(_row(axis_label, m, Method.MC, counts[m] / spec.trials,
                              0.5 * (hi - lo), spec.trials,
                              mc_seconds if spec.timing else None, ""))
-    exact = {}      # this cell's EXACT values, shared with IDET_GENERAL
+    # this cell's values per method, shared with IDET_GENERAL; one dict per
+    # method, so an EXACT part never stands in for a CLOSED_FORM one
+    known = {Method.EXACT: {}, Method.CLOSED_FORM: {}}
     for m, meth in spec.metrics:
         if meth is Method.MC:
             continue
+        table = _EXACT_RAYLEIGH if meth is Method.EXACT else _CLOSED_FORM
         t0 = time.perf_counter()
         try:
             ctx = KernelContext.from_config(cfg)
-            v = (_exact_value(ctx, m, exact) if meth is Method.EXACT
-                 else _closed_form_value(ctx, m))
+            v = _analytic_value(ctx, m, table, known[meth])
             err = ""
         except Exception as exc:
             v, err = math.nan, _error_kind(exc)

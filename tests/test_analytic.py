@@ -200,19 +200,17 @@ class TestIdetComposition:
         with pytest.raises(ValueError):
             idet_general(0.1, 0.1, -0.01)
 
-    def test_special_approx_regimes(self):
-        wdt_dom = idet_special_approx(
-            ctx_from(n_users=6, n_ports=2, fa_size=1.0, sinr_threshold=100.0,
-                     ehp_threshold=1e-4)
-        )
-        assert wdt_dom.regime == "WDT_DOMINANT"
-        wet_dom = idet_special_approx(
-            ctx_from(n_users=2, n_ports=2, fa_size=1.0, sinr_threshold=0.01,
-                     ehp_threshold=0.2)
-        )
-        assert wet_dom.regime == "WET_DOMINANT"
-        for approx in (wdt_dom, wet_dom):
-            assert approx.value == pytest.approx(approx.wdt * approx.wet, rel=1e-12)
+    def test_special_approx_is_closed_form_product(self):
+        # one cell led by the WDT outage and one by the WET outage (a factor
+        # clamps at 0 in each), and the reference cell at 7 dB and 150 mW,
+        # where both factors lie inside (0, 1)
+        for ctx in (ctx_from(n_users=6, n_ports=2, fa_size=1.0, sinr_threshold=100.0,
+                             ehp_threshold=1e-4),
+                    ctx_from(n_users=2, n_ports=2, fa_size=1.0, sinr_threshold=0.01,
+                             ehp_threshold=0.2),
+                    ctx_from(sinr_threshold=10 ** 0.7, ehp_threshold=0.150)):
+            assert idet_special_approx(ctx) == (
+                wdt_sinr_approx(ctx).theorem * wet_ehp_approx(ctx))
 
     @pytest.mark.parametrize("n_users", [3, 5])
     def test_special_single_port_matches_quadrature(self, n_users):
@@ -238,7 +236,7 @@ class TestIdetComposition:
                        ehp_threshold=1e-4)
         approx = idet_special_approx(ctx)
         exact = idet_special_exact(ctx)
-        assert approx.value == pytest.approx(exact, abs=1e-4)
+        assert approx == pytest.approx(exact, abs=1e-4)
 
 
 class TestRician:

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from fama_idet import analytic, sweep
-from fama_idet.analytic import DEFAULT_QUAD, QuadratureConvergenceError
+from fama_idet.analytic import DEFAULT_QUAD, KernelContext, QuadratureConvergenceError
 from fama_idet.cli import main
 from fama_idet.montecarlo import Method, Metric
 from fama_idet.sweep import (
@@ -54,6 +54,17 @@ def _count_exact_calls(monkeypatch, fail=None):
         monkeypatch.setitem(sweep._EXACT_RAYLEIGH, metric, counted)
         monkeypatch.setattr(analytic, fn.__name__, counted)
     return calls
+
+
+# All six closed forms at the reference cell (N=5, K=200, W=5) at 3 dB and
+# 150 mW, where the WDT_SINR closed form clamps at 0 and WET_EHP's does not.
+REF_CLOSED_FORMS = """
+n_users = 5
+n_ports = 200
+fa_size = 5
+sinr_threshold = 3 dB
+ehp_threshold = 150 mW
+sweep.metrics = """ + ", ".join(f"{m.value}:CLOSED_FORM" for m in Metric) + "\n"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -169,6 +180,43 @@ class TestRunSweep:
             _with_metrics("IDET_GENERAL:EXACT") + "rician_k = 2\n")).rows
         assert [r["error"] for r in rows] == ["unsupported"] * 2
         assert calls == {Metric.IDET_SPECIAL: 2}
+
+    def test_closed_forms_make_no_exact_call(self, monkeypatch):
+        calls = _count_exact_calls(monkeypatch)
+        rows = run_sweep(spec_from_config(REF_CLOSED_FORMS, require_axis=False)).rows
+        assert [r["error"] for r in rows] == [""] * 6
+        assert not calls
+
+    def test_closed_forms_obey_frechet_bounds(self):
+        rows = run_sweep(spec_from_config(REF_CLOSED_FORMS, require_axis=False)).rows
+        v = {r["metric"]: float(r["value"]) for r in rows}
+        wdt, wet = v["WDT_SINR"], v["WET_EHP"]
+        assert v["IDET_SPECIAL"] <= min(wdt, wet)
+        assert v["IDET_GENERAL"] >= max(wdt, wet)
+
+    def test_idet_general_from_its_own_method(self):
+        # the exact and closed-form parts differ in both cells; the EXACT
+        # rows come first, so a shared cache would hand them to CLOSED_FORM
+        spec = spec_from_config(_with_metrics(
+            "WDT_SINR:EXACT, WET_EHP:EXACT, WET_EHP:CLOSED_FORM, "
+            "IDET_GENERAL:CLOSED_FORM, WDT_SINR:CLOSED_FORM, IDET_GENERAL:EXACT"))
+        rows = run_sweep(spec).rows
+        parts = {
+            "EXACT": (analytic.wdt_sinr_exact, analytic.wet_ehp_exact,
+                      analytic.idet_special_exact),
+            "CLOSED_FORM": (lambda ctx: analytic.wdt_sinr_approx(ctx).theorem,
+                            analytic.wet_ehp_approx, analytic.idet_special_approx),
+        }
+        for value in spec.values:
+            ctx = KernelContext.from_config(spec.cell_config(value))
+            got = {(r["metric"], r["method"]): r["value"] for r in rows
+                   if r["axis"] == f"{value:.12g}"}
+            for method, fns in parts.items():
+                wdt, wet, special = (fn(ctx) for fn in fns)
+                assert got["WDT_SINR", method] == f"{wdt:.12g}"
+                assert got["WET_EHP", method] == f"{wet:.12g}"
+                assert got["IDET_GENERAL", method] == (
+                    f"{analytic.idet_general(wdt, wet, special):.12g}")
 
     def test_rician_metadata_note(self):
         result = run_sweep(spec_from_config(BASE_CFG + "rician_k = 2\n"))
