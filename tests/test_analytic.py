@@ -200,14 +200,17 @@ class TestIdetComposition:
         with pytest.raises(ValueError):
             idet_general(0.1, 0.1, -0.01)
 
-    def test_special_approx_is_closed_form_product(self):
-        # one cell led by the WDT outage and one by the WET outage (a factor
-        # clamps at 0 in each), and the reference cell at 7 dB and 150 mW,
-        # where both factors lie inside (0, 1)
-        for ctx in (ctx_from(n_users=6, n_ports=2, fa_size=1.0, sinr_threshold=100.0,
-                             ehp_threshold=1e-4),
-                    ctx_from(n_users=2, n_ports=2, fa_size=1.0, sinr_threshold=0.01,
-                             ehp_threshold=0.2),
+    def test_special_approx_regimes(self):
+        # one cell led by the WDT outage and one by the WET outage (the other
+        # factor clamps at 0 in each), and the reference cell at 7 dB and
+        # 150 mW, where both factors lie inside (0, 1)
+        wdt_dom = ctx_from(n_users=6, n_ports=2, fa_size=1.0, sinr_threshold=100.0,
+                           ehp_threshold=1e-4)
+        wet_dom = ctx_from(n_users=2, n_ports=2, fa_size=1.0, sinr_threshold=0.01,
+                           ehp_threshold=0.2)
+        assert wdt_sinr_approx(wdt_dom).theorem > wet_ehp_approx(wdt_dom)
+        assert wet_ehp_approx(wet_dom) > wdt_sinr_approx(wet_dom).theorem
+        for ctx in (wdt_dom, wet_dom,
                     ctx_from(sinr_threshold=10 ** 0.7, ehp_threshold=0.150)):
             assert idet_special_approx(ctx) == (
                 wdt_sinr_approx(ctx).theorem * wet_ehp_approx(ctx))
