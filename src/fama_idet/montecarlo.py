@@ -4,9 +4,11 @@ All UEs are statistically identical, so only UE 0 is simulated; the
 number of UEs enters through the interference dimensionality.  Port
 powers are drawn per antenna group, as noncentral chi-square variables
 given the components all ports share.  Trials run in fixed-size blocks,
-each block on its own counter-derived Philox substream, which makes every
-estimate a pure function of (config, seed) regardless of scheduling; the
-blocks of one estimate run on a thread per CPU.
+each block on its own SFC64 substream keyed by (cell, block) through a
+``SeedSequence`` spawn key, which makes every estimate a pure function of
+(config, seed) regardless of scheduling; the blocks of one estimate run on
+a thread per CPU.  A block draws, transforms and counts its trials in row
+chunks of at most ENTRIES port powers, so its memory does not grow with K.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 from .channel import SystemConfig
 
 BLOCK = 8192
-CHUNK = 1024  # trials per scratch and reduction chunk: temporaries stay CHUNK x K
-_PHASE_BLOCK = np.uint64(0xFFFFFFFFFFFFFFFF)  # reserved substream for LoS phases
+ENTRIES = 2 ** 16  # port powers per chunk buffer: (groups, rows, K) stays in cache
+_PHASE_KEY = (0,)  # LoS phases: one word, unlike every (cell, block) key
 
 
 class Metric(enum.Enum):
@@ -77,14 +79,15 @@ class IndependenceReport:
     trials: int
 
 
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """SFC64 generator of `seed` under the SeedSequence spawn key `key`."""
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed & 0xFFFF_FFFF_FFFF_FFFF, spawn_key=key)))
+
+
 def substream(seed: int, cell: int, block) -> np.random.Generator:
-    """Deterministic counter-based stream for one (cell, block) pair."""
-    key = np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-         np.uint64((np.uint64(cell) << np.uint64(40)) + np.uint64(block))],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    """Deterministic stream for one (cell, block) pair."""
+    return _stream(seed, cell, block)
 
 
 def los_phases(cfg: SystemConfig, seed: int, n_antennas: int | None = None) -> np.ndarray:
@@ -93,9 +96,7 @@ def los_phases(cfg: SystemConfig, seed: int, n_antennas: int | None = None) -> n
     They are fixed per (config, seed): every trial, block and cell of a sweep
     shares them.  The draws fill in order, so a longer draw extends a shorter
     one."""
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), _PHASE_BLOCK],
-                     dtype=np.uint64)))
+    rng = _stream(seed, *_PHASE_KEY)
     return rng.uniform(0.0, 2.0 * math.pi, size=n_antennas or cfg.n_users)
 
 
@@ -109,14 +110,17 @@ def _cpus() -> int:
 
 def _blocks(cfg, trials, seed, cell, groups, reduce):
     """Map `reduce` over UE 0's port powers summed per antenna group, one
-    block of trials at a time; return its results in block order.
+    chunk of trials at a time; return its results in block order, then chunk
+    order.
 
-    Each block, of shape (size, K, len(groups)), is drawn on its own
-    substream, so the blocks are independent and run on one thread per CPU
-    with the same results at any thread count.  Group g is the next
-    ``groups[g]`` antennas; group 0 is antenna 0, the desired link.  Given the
-    shared means m_n = mu h0_n + sqrt(kappa) e^{j phi_n}, a group of G antennas
-    gives each port the power (s Z + |m|)^2 + s^2 C with |m|^2 = sum |m_n|^2,
+    Each block of BLOCK trials is drawn on its own substream, so the blocks
+    are independent and run on one thread per CPU with the same results at
+    any thread count.  A block walks its trials in chunks of `rows` trials,
+    and `reduce` gets each chunk as an array of shape (len(groups), rows, K)
+    that the next chunk overwrites.  Group g is the next ``groups[g]``
+    antennas; group 0 is antenna 0, the desired link.  Given the shared means
+    m_n = mu h0_n + sqrt(kappa) e^{j phi_n}, a group of G antennas gives each
+    port the power (s Z + |m|)^2 + s^2 C with |m|^2 = sum |m_n|^2,
     s^2 = 1 - mu^2, Z ~ N(0, 1) and C ~ chi2(2G - 1), drawn as a squared
     normal when G = 1.
     """
@@ -125,6 +129,7 @@ def _blocks(cfg, trials, seed, cell, groups, reduce):
     k, mu, n = cfg.n_ports, cfg.mu, sum(groups)
     s = math.sqrt(max(0.0, 1.0 - mu * mu))
     starts = np.cumsum((0, *groups[:-1]))
+    rows = max(1, ENTRIES // (k * len(groups)))
     los = 0.0
     if cfg.rician_k > 0.0:
         # nested N may sum more antennas than the config's n_users
@@ -136,35 +141,35 @@ def _blocks(cfg, trials, seed, cell, groups, reduce):
         rng = substream(seed, cell, b)
         h = mu * rng.standard_normal((2, size, n)) + los
         m = np.sqrt(np.add.reduceat(h[0] ** 2 + h[1] ** 2, starts, axis=1))
-        # drawn in place, C in row chunks, so a block holds one (size, K, groups) array
-        p = rng.standard_normal((size, k, len(groups)))
-        p *= s
-        p += m[:, None, :]
-        np.square(p, out=p)
-        scratch = np.empty((min(CHUNK, size), k))
-        for g, width in enumerate(groups):
-            for rows in _row_chunks(size):
-                c = scratch[:rows.stop - rows.start]
+        p = np.empty((len(groups), min(rows, size), k))
+        scratch = np.empty(p.shape[1:])
+        out = []
+        for r in range(0, size, rows):
+            chunk = p[:, :min(rows, size - r)]
+            c = scratch[:chunk.shape[1]]
+            for g, width in enumerate(groups):
+                z = rng.standard_normal(out=chunk[g])
+                z *= s
+                z += m[r:r + len(z), g, None]
+                np.square(z, out=z)
                 if width == 1:
                     np.square(rng.standard_normal(out=c), out=c)
                 else:  # chisquare(df) is 2 standard_gamma(df / 2), bit for bit
                     rng.standard_gamma(width - 0.5, out=c)
                     c *= 2.0
                 c *= s * s
-                p[rows, :, g] += c
-        return reduce(p)
+                z += c
+            out.append(reduce(chunk))
+        return out
 
     n_blocks = (trials + BLOCK - 1) // BLOCK
     threads = min(n_blocks, _cpus())
     if threads == 1:
-        return [run(b) for b in range(n_blocks)]
-    with ThreadPoolExecutor(threads) as pool:
-        return list(pool.map(run, range(n_blocks)))
-
-
-def _row_chunks(size):
-    """Slices of at most CHUNK trials covering a block of `size` trials."""
-    return [slice(r, min(r + CHUNK, size)) for r in range(0, size, CHUNK)]
+        per_block = [run(b) for b in range(n_blocks)]
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            per_block = list(pool.map(run, range(n_blocks)))
+    return [res for chunks in per_block for res in chunks]
 
 
 def _sinr(desired, interf):
@@ -212,26 +217,23 @@ def simulate_outage_counts(
     def reduce(p):
         full = dict.fromkeys(Metric, 0)
         nested = [dict.fromkeys(_NESTED, 0) for _ in nested_values]
-        for rows in _row_chunks(len(p)):
-            chunk = p[rows]
-            if n_values:
-                desired, cum = chunk[:, :, 0], np.cumsum(chunk, axis=2)
-                views = ((_sinr(desired, cum[..., n - 1] - desired), q_scale * cum[..., n - 1])
-                         for n in n_values)
-            else:
-                sinr, q = _sinr_q(chunk[:, :, 0], chunk[:, :, 1], q_scale)
-                _count_full(sinr, q, gamma, q_th, full)
-                views = ((sinr[:, :k], q[:, :k]) for k in nested_values)
-            for (sinr_v, q_v), tally in zip(views, nested):
-                _count_max(sinr_v, q_v, gamma, q_th, tally)
+        if n_values:
+            cum = np.cumsum(p, axis=0)
+            views = ((_sinr(p[0], cum[n - 1] - p[0]), q_scale * cum[n - 1]) for n in n_values)
+        else:
+            sinr, q = _sinr_q(p[0], p[1], q_scale)
+            _count_full(sinr, q, gamma, q_th, full)
+            views = ((sinr[:, :k], q[:, :k]) for k in nested_values)
+        for (sinr_v, q_v), tally in zip(views, nested):
+            _count_max(sinr_v, q_v, gamma, q_th, tally)
         return full, nested
 
-    blocks = _blocks(cfg, trials, seed, cell, groups, reduce)
+    chunks = _blocks(cfg, trials, seed, cell, groups, reduce)
     out = {"trials": trials}
     if not n_values:
-        out["counts"] = {m: sum(full[m] for full, _ in blocks) for m in Metric}
+        out["counts"] = {m: sum(full[m] for full, _ in chunks) for m in Metric}
     if nested_values:
-        per_value = list(zip(*(nested for _, nested in blocks)))
+        per_value = list(zip(*(nested for _, nested in chunks)))
         out["nested"] = {m: np.array([sum(t[m] for t in tallies) for tallies in per_value])
                          for m in _NESTED}
         out["nested_values"] = list(nested_values)
@@ -289,15 +291,10 @@ def estimate_energy_efficiency(
     base_power = n * cfg.tx_power + cfg.fixed_power
 
     def reduce(p):
-        # gather the selected port's SINR and power chunk by chunk, then sum
-        # over the whole block, so the float sums do not depend on CHUNK
-        sel_sinr, sel_q = np.empty((2, len(p)))
-        for rows in _row_chunks(len(p)):
-            sinr, q = _sinr_q(p[rows, :, 0], p[rows, :, 1], q_scale)
-            idx = np.argmax(sinr if strategy is Strategy.WDT else q, axis=1)
-            picked = np.arange(len(idx))
-            sel_sinr[rows] = sinr[picked, idx]
-            sel_q[rows] = q[picked, idx]
+        sinr, q = _sinr_q(p[0], p[1], q_scale)
+        idx = np.argmax(sinr if strategy is Strategy.WDT else q, axis=1)
+        picked = np.arange(len(idx))
+        sel_sinr, sel_q = sinr[picked, idx], q[picked, idx]
         sel_rate = np.log2(1.0 + sel_sinr)
         denom = base_power - n * sel_q
         return (float(sel_rate.sum()), float(sel_q.sum()),
@@ -332,9 +329,9 @@ def independence_diagnostic(
     """
     from scipy import stats  # slow to import, and only this diagnostic needs it
 
-    blocks = _blocks(replace(cfg, n_ports=1), trials, seed, cell, (1, cfg.n_users - 1),
-                     lambda p: p[:, 0])
-    x, y = np.concatenate(blocks).T
+    chunks = _blocks(replace(cfg, n_ports=1), trials, seed, cell, (1, cfg.n_users - 1),
+                     lambda p: p[:, :, 0].copy())
+    x, y = np.concatenate(chunks, axis=1)
     corr = float(stats.spearmanr(x + y, x / y).statistic)
     threshold = 3.0 / math.sqrt(trials)
     return IndependenceReport(corr, threshold, abs(corr) < threshold, trials)

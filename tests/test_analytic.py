@@ -235,11 +235,14 @@ class TestIdetComposition:
             want, abs=1e-6)
 
     def test_special_approx_near_exact_when_one_side_dominates(self):
+        # WDT_SINR is near 1 at gamma = 100, and the WET factor is inside its
+        # first-order regime (K*s = 0.134), so the product tracks the exact joint
         ctx = ctx_from(n_users=6, n_ports=2, fa_size=1.0, sinr_threshold=100.0,
-                       ehp_threshold=1e-4)
+                       ehp_threshold=0.1)
         approx = idet_special_approx(ctx)
         exact = idet_special_exact(ctx)
-        assert approx == pytest.approx(exact, abs=1e-4)
+        assert 0.0 < approx < 1.0 and 0.0 < exact < 1.0
+        assert approx == pytest.approx(exact, rel=0.02)
 
 
 class TestRician:
