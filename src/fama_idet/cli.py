@@ -41,8 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--timing", action="store_true",
-                       help="fill the seconds column (breaks byte-identical "
-                            "reproducibility across runs)")
+                       help="fill the seconds column, where an n_ports sweep's MC rows each "
+                            "carry their shared pass's total (output then differs by run)")
 
     add_common(sub.add_parser("sweep", help="run the configured parameter sweep"))
     add_common(sub.add_parser("compare", help="validate MC against EXACT per cell"))

@@ -24,6 +24,7 @@ import numpy as np
 from .channel import SystemConfig
 
 BLOCK = 8192
+MIN_TRIALS = 1000
 ENTRIES = 2 ** 16  # port powers per chunk buffer: (groups, rows, K) stays in cache
 _PHASE_KEY = (0,)  # LoS phases: one word, unlike every (cell, block) key
 
@@ -35,10 +36,6 @@ class Metric(enum.Enum):
     WET_EHP = "WET_EHP"
     IDET_SPECIAL = "IDET_SPECIAL"
     IDET_GENERAL = "IDET_GENERAL"
-
-
-# the max-based metrics, which nested K and N sweeps count per swept value
-_NESTED = (Metric.WDT_SINR, Metric.WET_EHP, Metric.IDET_SPECIAL, Metric.IDET_GENERAL)
 
 
 class Method(enum.Enum):
@@ -124,8 +121,8 @@ def _blocks(cfg, trials, seed, cell, groups, reduce):
     s^2 = 1 - mu^2, Z ~ N(0, 1) and C ~ chi2(2G - 1), drawn as a squared
     normal when G = 1.
     """
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"trials must be >= {MIN_TRIALS}")
     k, mu, n = cfg.n_ports, cfg.mu, sum(groups)
     s = math.sqrt(max(0.0, 1.0 - mu * mu))
     starts = np.cumsum((0, *groups[:-1]))
@@ -177,10 +174,6 @@ def _sinr(desired, interf):
         return np.where(interf > 0.0, desired / interf, np.inf)
 
 
-def _sinr_q(desired, interf, q_scale):
-    return _sinr(desired, interf), q_scale * (desired + interf)
-
-
 def _q_scale(cfg) -> float:
     # 2/(2+kappa) keeps mean harvested power independent of the LoS strength
     return (1.0 - cfg.ps_ratio) * cfg.tx_power / cfg.distance ** cfg.pathloss_exp \
@@ -198,64 +191,56 @@ def simulate_outage_counts(
     """Failure counts for all six outage metrics over `trials` realizations.
 
     Returns ``{"counts": {Metric: int}, "trials": trials}``.  With `k_values`
-    (nested ports) or `n_values` (nested antennas) the four max-based metrics
-    are also counted per swept value on common random numbers, so the
-    pathwise monotonicity in K and N is exact; they come as ``"nested"``
-    ({Metric: int array over the values}) and ``"nested_values"``.  A nested-N
-    run has no ``"counts"``: it draws every antenna on its own, a different
-    stream from the plain run's, and may sum fewer antennas than n_users.
+    (nested ports, each in [1, n_ports]) or `n_values` (nested antennas, each
+    at least 2) the six metrics are also counted per swept value on common
+    random numbers, so the pathwise monotonicity of the four max-based
+    metrics in K and N is exact; they come as ``"nested"`` ({Metric: int
+    array over the values}) and ``"nested_values"``.  A nested-N run has no
+    ``"counts"``: it draws every antenna on its own, a different stream from
+    the plain run's, and may sum fewer antennas than n_users.
     """
     if k_values is not None and n_values is not None:
         raise ValueError("nest over K or N, not both")
+    for name, values, lo, hi in (("k", k_values, 1, cfg.n_ports), ("n", n_values, 2, math.inf)):
+        if not all(isinstance(v, (int, np.integer)) and lo <= v <= hi for v in values or ()):
+            raise ValueError(f"{name}_values must be integers in [{lo}, {hi}], got {values}")
     gamma = cfg.sinr_threshold
     q_scale = _q_scale(cfg)
     q_th = cfg.ehp_threshold
     # nested N sums per-antenna powers cumulatively, so each antenna is a group
     groups = (1,) * max(n_values) if n_values else (1, cfg.n_users - 1)
     nested_values = k_values or n_values or []
+    # the distinct views a chunk is counted in: antenna counts, or port counts
+    keys = list(dict.fromkeys(n_values or [cfg.n_ports, *nested_values]))
 
     def reduce(p):
-        full = dict.fromkeys(Metric, 0)
-        nested = [dict.fromkeys(_NESTED, 0) for _ in nested_values]
         if n_values:
             cum = np.cumsum(p, axis=0)
-            views = ((_sinr(p[0], cum[n - 1] - p[0]), q_scale * cum[n - 1]) for n in n_values)
+            views = ((_sinr(p[0], cum[n - 1] - p[0]), q_scale * cum[n - 1]) for n in keys)
         else:
-            sinr, q = _sinr_q(p[0], p[1], q_scale)
-            _count_full(sinr, q, gamma, q_th, full)
-            views = ((sinr[:, :k], q[:, :k]) for k in nested_values)
-        for (sinr_v, q_v), tally in zip(views, nested):
-            _count_max(sinr_v, q_v, gamma, q_th, tally)
-        return full, nested
+            sinr, q = _sinr(p[0], p[1]), q_scale * (p[0] + p[1])
+            views = ((sinr[:, :k], q[:, :k]) for k in keys)
+        return [_count(sinr_v, q_v, gamma, q_th) for sinr_v, q_v in views]
 
-    chunks = _blocks(cfg, trials, seed, cell, groups, reduce)
+    tally = dict(zip(keys, np.sum(_blocks(cfg, trials, seed, cell, groups, reduce), axis=0)))
     out = {"trials": trials}
     if not n_values:
-        out["counts"] = {m: sum(full[m] for full, _ in chunks) for m in Metric}
+        out["counts"] = dict(zip(Metric, map(int, tally[cfg.n_ports])))
     if nested_values:
-        per_value = list(zip(*(nested for _, nested in chunks)))
-        out["nested"] = {m: np.array([sum(t[m] for t in tallies) for tallies in per_value])
-                         for m in _NESTED}
+        out["nested"] = dict(zip(Metric, np.array([tally[v] for v in nested_values]).T))
         out["nested_values"] = list(nested_values)
     return out
 
 
-def _count_max(sinr, q, gamma, q_th, counts):
-    """Add a chunk's failures of the four max-based metrics to `counts`."""
-    wdt_fail = sinr.max(axis=1) < gamma
-    wet_fail = q.max(axis=1) < q_th
-    counts[Metric.WDT_SINR] += int(wdt_fail.sum())
-    counts[Metric.WET_EHP] += int(wet_fail.sum())
-    counts[Metric.IDET_SPECIAL] += int((wdt_fail & wet_fail).sum())
-    counts[Metric.IDET_GENERAL] += int((wdt_fail | wet_fail).sum())
-
-
-def _count_full(sinr, q, gamma, q_th, counts):
-    """Add a chunk's failures of all six metrics to `counts`."""
-    _count_max(sinr, q, gamma, q_th, counts)
-    rows = np.arange(sinr.shape[0])
-    counts[Metric.WET_SINR] += int((q[rows, np.argmax(sinr, axis=1)] < q_th).sum())
-    counts[Metric.WDT_EHP] += int((sinr[rows, np.argmax(q, axis=1)] < gamma).sum())
+def _count(sinr, q, gamma, q_th):
+    """A chunk's failures of the six metrics, in Metric order."""
+    rows = np.arange(len(sinr))
+    by_sinr, by_q = np.argmax(sinr, axis=1), np.argmax(q, axis=1)
+    wdt_fail = sinr[rows, by_sinr] < gamma
+    wet_fail = q[rows, by_q] < q_th
+    return [np.count_nonzero(fail) for fail in (
+        wdt_fail, q[rows, by_sinr] < q_th, sinr[rows, by_q] < gamma, wet_fail,
+        wdt_fail & wet_fail, wdt_fail | wet_fail)]
 
 
 def wilson_interval(count: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -291,7 +276,7 @@ def estimate_energy_efficiency(
     base_power = n * cfg.tx_power + cfg.fixed_power
 
     def reduce(p):
-        sinr, q = _sinr_q(p[0], p[1], q_scale)
+        sinr, q = _sinr(p[0], p[1]), q_scale * (p[0] + p[1])
         idx = np.argmax(sinr if strategy is Strategy.WDT else q, axis=1)
         picked = np.arange(len(idx))
         sel_sinr, sel_q = sinr[picked, idx], q[picked, idx]

@@ -2,7 +2,8 @@
 
 Configs are flat ``key = value`` text with typed suffixes (dB, mW, W);
 sweeps replace one SystemConfig field per cell.  MC substreams are keyed
-by (seed, cell index) so results do not depend on the worker count.
+by (seed, cell index, block), and an n_ports sweep's one nested-K pass at
+its largest K by (seed, 0, block), so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from . import analytic
 from .analytic import KernelContext, QuadratureConvergenceError
 from .channel import SystemConfig
-from .montecarlo import Method, Metric, simulate_outage_counts, wilson_interval
+from .montecarlo import MIN_TRIALS, Method, Metric, simulate_outage_counts, wilson_interval
 from .specfun import SeriesConvergenceError
 
 _INT_FIELDS = {"n_users", "n_ports"}
@@ -114,6 +115,8 @@ class SweepSpec:
             raise ConfigError("sweep.values must be nonempty")
         if not self.metrics:
             raise ConfigError("sweep.metrics must be nonempty")
+        if self.trials < MIN_TRIALS and any(meth is Method.MC for _, meth in self.metrics):
+            raise ConfigError(f"trials must be >= {MIN_TRIALS} for MC metrics, got {self.trials}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         # constructing each cell validates values against the field invariants
@@ -215,25 +218,33 @@ def _error_kind(exc: Exception) -> str:
     return type(exc).__name__
 
 
-def _evaluate_cell(spec: SweepSpec, idx: int, value) -> list[dict]:
-    """All rows for one axis value; MC metrics share one simulation pass."""
+def _simulate(spec: SweepSpec, cfg: SystemConfig, cell: int, k_values: list) -> list:
+    """One MC pass: (counts, seconds, error kind) for each nested K of
+    `k_values`.  A failure is recorded in-row, so the sweep keeps running."""
+    t0 = time.perf_counter()
+    try:
+        nested = simulate_outage_counts(cfg, spec.trials, spec.seed, cell=cell,
+                                        k_values=k_values)["nested"]
+        per_k, err = [{m: int(nested[m][i]) for m in Metric} for i in range(len(k_values))], ""
+    except Exception as exc:
+        per_k, err = [None] * len(k_values), _error_kind(exc)
+    seconds = time.perf_counter() - t0
+    return [(counts, seconds, err) for counts in per_k]
+
+
+def _evaluate_cell(spec: SweepSpec, idx: int, value, mc=None) -> list[dict]:
+    """All rows for one axis value.  MC metrics share one simulation pass:
+    `mc`, the cell's slice of the sweep's nested pass, or else its own."""
     cfg = spec.cell_config(value)
     axis_label = f"{value:.12g}" if spec.axis else ""
     rows = []
     mc_metrics = [m for m, meth in spec.metrics if meth is Method.MC]
     if mc_metrics:
-        t0 = time.perf_counter()
-        try:
-            counts = simulate_outage_counts(cfg, spec.trials, spec.seed, cell=idx)["counts"]
-        except Exception as exc:  # keep the sweep running, record in-row
-            counts, mc_err = None, exc
-        else:
-            mc_err = None
-        mc_seconds = time.perf_counter() - t0
+        counts, mc_seconds, mc_err = mc or _simulate(spec, cfg, idx, [cfg.n_ports])[0]
         for m in mc_metrics:
-            if mc_err is not None:
+            if mc_err:
                 rows.append(_row(axis_label, m, Method.MC, math.nan, None,
-                                 spec.trials, None, _error_kind(mc_err)))
+                                 spec.trials, None, mc_err))
                 continue
             lo, hi = wilson_interval(counts[m], spec.trials)
             rows.append(_row(axis_label, m, Method.MC, counts[m] / spec.trials,
@@ -296,12 +307,18 @@ def _metadata(spec: SweepSpec) -> dict:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate every cell (optionally in parallel) and emit the file."""
     cells = list(enumerate(spec.values)) if spec.axis else [(0, None)]
+    shared = [None] * len(cells)
+    if spec.axis == "n_ports" and any(meth is Method.MC for _, meth in spec.metrics):
+        # one nested-K pass at the largest K, keyed as cell 0, in this process
+        ks = [int(v) for v in spec.values]  # integers, as __post_init__ checked
+        shared = _simulate(spec, spec.cell_config(max(ks)), 0, ks)
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_evaluate_cell, spec, i, v) for i, v in cells]
+            futures = [pool.submit(_evaluate_cell, spec, i, v, mc)
+                       for (i, v), mc in zip(cells, shared)]
             per_cell = [f.result() for f in futures]
     else:
-        per_cell = [_evaluate_cell(spec, i, v) for i, v in cells]
+        per_cell = [_evaluate_cell(spec, i, v, mc) for (i, v), mc in zip(cells, shared)]
     rows = [r for cell_rows in per_cell for r in cell_rows]
     result = SweepResult(rows, _metadata(spec))
     if spec.output_path:
@@ -356,10 +373,8 @@ class CompareLine:
 
 def compare(spec: SweepSpec, workers: int = 1) -> list[CompareLine]:
     """Cross-validate: EXACT must lie in the MC rate's Wilson interval at z = 3 * 1.96."""
-    metric_set = {}
-    for m, meth in spec.metrics:
-        metric_set.setdefault(m, set()).add(meth)
-    paired = [m for m, s in metric_set.items() if Method.MC in s and Method.EXACT in s]
+    paired = [m for m in dict.fromkeys(m for m, _ in spec.metrics)
+              if (m, Method.MC) in spec.metrics and (m, Method.EXACT) in spec.metrics]
     if not paired:
         raise ConfigError("compare needs at least one metric with both MC and EXACT")
     result = run_sweep(dataclasses.replace(spec, output_path=None), workers=workers)

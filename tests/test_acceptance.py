@@ -250,9 +250,12 @@ def test_criterion_5_trend_reproduction():
 
     res_k = simulate_outage_counts(cfg, trials, seed=501,
                                    k_values=[1, 2, 5, 10, 50, 100, 200])
+    # the max-based metrics only: WET_SINR and WDT_EHP read a port chosen by
+    # the other quantity, so they are not pathwise monotone in K
     k_monotone = all(
         all(a >= b for a, b in zip(counts, counts[1:]))
-        for counts in res_k["nested"].values()
+        for counts in (res_k["nested"][m] for m in (Metric.WDT_SINR, Metric.WET_EHP,
+                                                    Metric.IDET_SPECIAL, Metric.IDET_GENERAL))
     )
     report(
         "criterion 5 (trend reproduction)",

@@ -10,7 +10,7 @@ import pytest
 from fama_idet import analytic, sweep
 from fama_idet.analytic import DEFAULT_QUAD, KernelContext, QuadratureConvergenceError
 from fama_idet.cli import main
-from fama_idet.montecarlo import Method, Metric
+from fama_idet.montecarlo import Method, Metric, simulate_outage_counts
 from fama_idet.sweep import (
     ConfigError,
     SweepSpec,
@@ -65,6 +65,21 @@ fa_size = 5
 sinr_threshold = 3 dB
 ehp_threshold = 150 mW
 sweep.metrics = """ + ", ".join(f"{m.value}:CLOSED_FORM" for m in Metric) + "\n"
+
+
+# Outage against K with all six metrics by MC and two by EXACT: the sweep's
+# MC rows come from one nested-K pass at K = 8.
+PORT_SWEEP_CFG = """
+n_users = 3
+fa_size = 2
+sinr_threshold = 3 dB
+ehp_threshold = 30 mW
+trials = 20000
+seed = 7
+sweep.axis = n_ports
+sweep.values = 1, 2, 4, 8
+sweep.metrics = """ + ", ".join(f"{m.value}:MC" for m in Metric) + \
+    ", WDT_SINR:EXACT, WET_EHP:EXACT\n"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -223,6 +238,54 @@ class TestRunSweep:
         assert result.metadata["rician_power_normalization"] == "2/(2+kappa)"
 
 
+class TestNestedPortSweep:
+    def test_bytes_match_across_workers_and_reruns(self, tmp_path):
+        cfg = write_cfg(tmp_path, PORT_SWEEP_CFG)
+        outputs = []
+        for name, workers in (("a", "1"), ("b", "2"), ("c", "1")):
+            out = tmp_path / f"{name}.csv"
+            assert main(["sweep", cfg, "--workers", workers, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_max_based_counts_never_rise_with_k(self):
+        rows = run_sweep(spec_from_config(PORT_SWEEP_CFG)).rows
+        for m in ("WDT_SINR", "WET_EHP", "IDET_SPECIAL", "IDET_GENERAL"):
+            counts = [round(float(r["value"]) * int(r["trials"])) for r in rows
+                      if r["metric"] == m and r["method"] == "MC"]
+            assert len(counts) == 4
+            assert all(a >= b for a, b in zip(counts, counts[1:])), (m, counts)
+
+    def test_largest_k_row_is_a_plain_run(self, monkeypatch):
+        passes = []
+
+        def recorded(cfg, trials, seed, **kw):
+            passes.append((cfg.n_ports, kw))
+            return simulate_outage_counts(cfg, trials, seed, **kw)
+
+        monkeypatch.setattr(sweep, "simulate_outage_counts", recorded)
+        spec = spec_from_config(PORT_SWEEP_CFG)
+        rows = run_sweep(spec).rows
+        assert passes == [(8, {"cell": 0, "k_values": [1, 2, 4, 8]})]
+        plain = simulate_outage_counts(spec.cell_config(8), spec.trials, spec.seed,
+                                       cell=0)["counts"]
+        got = {r["metric"]: r["value"] for r in rows if r["axis"] == "8" and r["method"] == "MC"}
+        assert got == {m.value: f"{plain[m] / spec.trials:.12g}" for m in Metric}
+
+    def test_failing_pass_marks_every_mc_row(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("forced")
+
+        monkeypatch.setattr(sweep, "simulate_outage_counts", fail)
+        result = run_sweep(spec_from_config(PORT_SWEEP_CFG))
+        mc = [r for r in result.rows if r["method"] == "MC"]
+        exact = [r for r in result.rows if r["method"] == "EXACT"]
+        assert len(mc) == 4 * 6
+        assert all(r["value"] == "NaN" and r["error"] == "unsupported" for r in mc)
+        assert len(exact) == 4 * 2
+        assert all(not r["error"] and 0.0 < float(r["value"]) < 1.0 for r in exact)
+
+
 class TestCompare:
     def test_pass_report(self):
         spec = spec_from_config(BASE_CFG, trials=30_000)
@@ -296,6 +359,15 @@ sweep.metrics = WET_EHP:MC, WET_EHP:EXACT, IDET_SPECIAL:MC, IDET_SPECIAL:EXACT
         assert main(["sweep", bad]) == 1
         missing = str(tmp_path / "missing.cfg")
         assert main(["sweep", missing]) == 1
+
+    def test_too_few_trials_rejected_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        calls = _count_exact_calls(monkeypatch)
+        cfg = write_cfg(tmp_path, PORT_SWEEP_CFG)
+        assert main(["sweep", cfg, "--trials", "10"]) == 1
+        assert "trials must be >= 1000" in capsys.readouterr().err
+        assert not calls
+        # without an MC metric the trial count is never read
+        spec_from_config(_with_metrics("WDT_SINR:EXACT"), trials=10)
 
     def test_numerical_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG.replace(

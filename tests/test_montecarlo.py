@@ -113,13 +113,17 @@ class TestPinnedStream:
         assert res["counts"] == full
         assert {m.name: res["nested"][m].tolist() for m in res["nested"]} == {
             "WDT_SINR": [17761, 12592, 3343], "WET_EHP": [17519, 11861, 2867],
-            "IDET_SPECIAL": [15521, 7462, 450], "IDET_GENERAL": [19759, 16991, 5760]}
+            "IDET_SPECIAL": [15521, 7462, 450], "IDET_GENERAL": [19759, 16991, 5760],
+            "WET_SINR": [17519, 17584, 17649], "WDT_EHP": [17761, 17855, 17771]}
+        # the view at k = n_ports is the plain run, all six metrics
+        assert {m: int(res["nested"][m][-1]) for m in Metric} == full
 
         cfg_n = SystemConfig(**{**self.CFG, "n_users": 5, "n_ports": 4})
         res = simulate_outage_counts(cfg_n, self.TRIALS, seed=17, cell=3, n_values=[2, 3, 5])
         assert {m.name: res["nested"][m].tolist() for m in res["nested"]} == {
             "WDT_SINR": [4080, 12500, 19007], "WET_EHP": [16990, 11893, 2198],
-            "IDET_SPECIAL": [3430, 7393, 2103], "IDET_GENERAL": [17640, 17000, 19102]}
+            "IDET_SPECIAL": [3430, 7393, 2103], "IDET_GENERAL": [17640, 17000, 19102],
+            "WET_SINR": [19231, 17601, 11238], "WDT_EHP": [13418, 17789, 19773]}
 
         cfg_r = SystemConfig(**self.CFG, rician_k=2.0)
         rician = simulate_outage_counts(cfg_r, self.TRIALS, seed=17, cell=4)["counts"]
@@ -240,6 +244,21 @@ class TestNestedSweeps:
         with pytest.raises(ValueError):
             simulate_outage_counts(cfg_small(), TRIALS, seed=0,
                                    k_values=[1], n_values=[2])
+
+    @pytest.mark.parametrize("nested", [
+        {"k_values": [-1]},      # would count the first 7 of 8 ports
+        {"k_values": [20]},      # would count all 8
+        {"k_values": [0]},
+        {"k_values": [2.0]},
+        {"n_values": [0]},       # would divide by zero
+        {"n_values": [1]},
+        {"n_values": [2, 3.5]},
+    ], ids=str)
+    def test_nested_values_checked(self, nested):
+        cfg = cfg_small(n_users=3, n_ports=8)
+        name = next(iter(nested))
+        with pytest.raises(ValueError, match=f"{name} must be integers in"):
+            simulate_outage_counts(cfg, 1000, seed=0, **nested)
 
 
 class TestEstimates:
