@@ -7,10 +7,12 @@ interference), per-port quantities are independent, so the K-port extremes
 reduce to K-th powers of inner one-port kernels.  A LoS component
 (rician_k > 0) makes the conditioners noncentral; the evaluators without a
 Rician expression refuse it rather than return the Rayleigh value.
+Each kernel `_*_raw(ctx, ns, nf)` reads all but its node counts from ctx.
 Semi-infinite axes use Gauss-Laguerre after r = 2t, finite inner ranges use
-Gauss-Legendre, and the optional Richardson check re-evaluates at 1.5x
-nodes to bound the truncation error.  Marcum Q and the pdf beyond 2 dof come
-as node grids from specfun's Poisson mixtures, contracted by BLAS products.
+Gauss-Legendre, and one driver runs each kernel with an optional Richardson
+check that re-evaluates at 1.5x nodes to bound the truncation error.  Marcum
+Q and the pdf beyond 2 dof come as node grids from specfun's Poisson
+mixtures, contracted by BLAS products.
 """
 
 from __future__ import annotations
@@ -152,20 +154,31 @@ def _rayleigh_only(ctx: KernelContext, name: str) -> None:
         raise ValueError(f"{name} holds only for Rayleigh fading (rician_k = 0)")
 
 
-def _with_richardson(raw, quad: QuadratureSpec, name: str) -> float:
-    """Evaluate, optionally re-evaluate at 1.5x nodes, range-check, clamp."""
-    ns, nf = quad.nodes_semiinfinite, quad.nodes_finite
-    val = raw(ns, nf)
+def _check_mu(ctx: KernelContext, name: str) -> None:
+    if not 0.0 < ctx.mu < 1.0:
+        raise ValueError(f"{name} requires mu in (0, 1)")
+
+
+def _conditioners(ctx: KernelContext, ns: int):
+    """lam1, lam2 are the shared-component noncentralities (0 for Rayleigh)."""
+    n, mu2 = ctx.n_users, ctx.mu ** 2
+    lam1, lam2 = ctx.rician_k / mu2, (n - 1) * ctx.rician_k / mu2
+    return (_ncx2_quad(1, lam1, ns),        # desired-link conditioner (2 dof)
+            _ncx2_quad(n - 1, lam2, ns))    # interference conditioner (2(N-1) dof)
+
+
+def _with_richardson(raw, ctx: KernelContext, quad: QuadratureSpec, name: str) -> float:
+    """Evaluate raw(ctx, ns, nf), re-evaluate at 1.5x nodes if asked, range-check, clamp."""
+    ns, nf, tol = quad.nodes_semiinfinite, quad.nodes_finite, 10.0 * quad.rel_tol_target
+    val = raw(ctx, ns, nf)
     if quad.richardson_check:
-        refined = raw(min(math.ceil(1.5 * ns), _MAX_NODES),
+        refined = raw(ctx, min(math.ceil(1.5 * ns), _MAX_NODES),
                       min(math.ceil(1.5 * nf), _MAX_NODES))
-        if abs(refined - val) > 10.0 * quad.rel_tol_target:
+        if abs(refined - val) > tol:
             raise QuadratureConvergenceError(
-                f"{name}: Richardson deviation {abs(refined - val):.3e} exceeds "
-                f"{10.0 * quad.rel_tol_target:.1e}"
-            )
+                f"{name}: Richardson deviation {abs(refined - val):.3e} exceeds {tol:.1e}")
         val = refined
-    if val < -10.0 * quad.rel_tol_target or val > 1.0 + 10.0 * quad.rel_tol_target:
+    if val < -tol or val > 1.0 + tol:
         raise QuadratureConvergenceError(f"{name}: value {val} outside [0, 1]")
     return min(max(val, 0.0), 1.0)
 
@@ -174,11 +187,9 @@ def _with_richardson(raw, quad: QuadratureSpec, name: str) -> float:
 # WDT outage, WDT-oriented port (max-SIR selection)
 # ---------------------------------------------------------------------------
 
-def _wdt_sinr_raw(ctx: KernelContext, ns: int, lam1: float, lam2: float) -> float:
-    """lam1, lam2 are the shared-component noncentralities (0 for Rayleigh)."""
+def _wdt_sinr_raw(ctx: KernelContext, ns: int, nf: int) -> float:
     n, kp, g, c = ctx.n_users, ctx.n_ports, ctx.gamma_th, ctx.corr_ratio
-    v1, w1 = _ncx2_quad(1, lam1, ns)        # desired-link conditioner (2 dof)
-    v2, w2 = _ncx2_quad(n - 1, lam2, ns)    # interference conditioner (2(N-1) dof)
+    (v1, w1), (v2, w2) = _conditioners(ctx, ns)
 
     a = np.sqrt(c * g * v2 / (g + 1.0))
     b = np.sqrt(c * v1 / (g + 1.0))
@@ -204,14 +215,8 @@ def wdt_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> f
     A LoS component of power rician_k per antenna makes the shared-component
     conditioners noncentral; rician_k = 0 is Rayleigh fading.
     """
-    if not 0.0 < ctx.mu < 1.0:
-        raise ValueError("wdt_sinr_exact requires mu in (0, 1)")
-    mu2 = ctx.mu ** 2
-    lam1 = ctx.rician_k / mu2
-    lam2 = (ctx.n_users - 1) * ctx.rician_k / mu2
-    return _with_richardson(
-        lambda ns, nf: _wdt_sinr_raw(ctx, ns, lam1, lam2), quad, "wdt_sinr_exact"
-    )
+    _check_mu(ctx, "wdt_sinr_exact")
+    return _with_richardson(_wdt_sinr_raw, ctx, quad, "wdt_sinr_exact")
 
 
 @dataclass(frozen=True)
@@ -259,10 +264,12 @@ def wdt_sinr_approx(ctx: KernelContext) -> ClosedFormPair:
 # WET outage, WET-oriented port (max-power selection)
 # ---------------------------------------------------------------------------
 
-def _wet_ehp_raw(ctx: KernelContext, ns: int, lam: float, q_hat: float) -> float:
+def _wet_ehp_raw(ctx: KernelContext, ns: int, nf: int) -> float:
     n, kp, c = ctx.n_users, ctx.n_ports, ctx.corr_ratio
+    lam = n * ctx.rician_k / ctx.mu ** 2
+    q_eff = ctx.q_hat * (1.0 + 0.5 * ctx.rician_k)  # see wet_ehp_exact
     v, w = _ncx2_quad(n, lam, ns)           # total-power conditioner (2N dof)
-    bracket = 1.0 - marcum_q_outer(n, np.sqrt(c * v), [math.sqrt(q_hat)])[:, 0]
+    bracket = 1.0 - marcum_q_outer(n, np.sqrt(c * v), [math.sqrt(q_eff)])[:, 0]
     return float(w @ _pow_k(bracket, kp))
 
 
@@ -274,17 +281,12 @@ def wet_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> fl
     (power-preserving normalization), so the normalized threshold carries
     a (1 + kappa/2) factor; rician_k = 0 is Rayleigh fading.
     """
-    if not 0.0 < ctx.mu < 1.0:
-        raise ValueError("wet_ehp_exact requires mu in (0, 1)")
+    _check_mu(ctx, "wet_ehp_exact")
     if ctx.q_hat == 0.0:
         return 0.0
     if math.isinf(ctx.q_hat):
         return 1.0
-    lam = ctx.n_users * ctx.rician_k / ctx.mu ** 2
-    q_eff = ctx.q_hat * (1.0 + 0.5 * ctx.rician_k)
-    return _with_richardson(
-        lambda ns, nf: _wet_ehp_raw(ctx, ns, lam, q_eff), quad, "wet_ehp_exact"
-    )
+    return _with_richardson(_wet_ehp_raw, ctx, quad, "wet_ehp_exact")
 
 
 def wet_ehp_approx(ctx: KernelContext) -> float:
@@ -316,8 +318,7 @@ def wet_ehp_approx(ctx: KernelContext) -> float:
 
 def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int) -> float:
     n, kp, g, c, qh = ctx.n_users, ctx.n_ports, ctx.gamma_th, ctx.corr_ratio, ctx.q_hat
-    v1, w1 = _ncx2_quad(1, 0.0, ns)
-    v2, w2 = _ncx2_quad(n - 1, 0.0, ns)
+    (v1, w1), (v2, w2) = _conditioners(ctx, ns)
     a1 = np.sqrt(c * v1)                            # desired-link Marcum parameter
 
     # z-axis (competing-port SIR) mapped to (0, inf) via z = (t/(1-t))^2;
@@ -370,21 +371,15 @@ def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int) -> float:
 
 def wet_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Probability the SIR-optimal port harvests below Q_th."""
-    if not 0.0 < ctx.mu < 1.0:
-        raise ValueError("wet_sinr_exact requires mu in (0, 1)")
+    _check_mu(ctx, "wet_sinr_exact")
     _rayleigh_only(ctx, "wet_sinr_exact")
     if ctx.q_hat == 0.0:
         return 0.0
     if math.isinf(ctx.q_hat):
         return 1.0
-    if ctx.n_ports == 1:
-        # single port: the selection conditioning is vacuous
-        return _with_richardson(
-            lambda ns, nf: _wet_ehp_raw(ctx, ns, 0.0, ctx.q_hat), quad, "wet_sinr_exact"
-        )
-    return _with_richardson(
-        lambda ns, nf: _wet_sinr_raw(ctx, ns, nf), quad, "wet_sinr_exact"
-    )
+    # single port: the selection conditioning is vacuous
+    raw = _wet_ehp_raw if ctx.n_ports == 1 else _wet_sinr_raw
+    return _with_richardson(raw, ctx, quad, "wet_sinr_exact")
 
 
 def wet_sinr_approx(ctx: KernelContext) -> float:
@@ -409,8 +404,7 @@ def wdt_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> fl
     at every K and mu.  LoS breaks that isotropy, so Rician input is
     refused.  `quad` is unused; it keeps the evaluators' common signature.
     """
-    if not 0.0 < ctx.mu < 1.0:
-        raise ValueError("wdt_ehp_exact requires mu in (0, 1)")
+    _check_mu(ctx, "wdt_ehp_exact")
     _rayleigh_only(ctx, "wdt_ehp_exact")
     return 1.0 - (ctx.gamma_th + 1.0) ** (1 - ctx.n_users)
 
@@ -428,8 +422,7 @@ def wdt_ehp_approx(ctx: KernelContext) -> float:
 
 def _idet_special_raw(ctx: KernelContext, ns: int, nf: int) -> float:
     n, kp, g, c, qh = ctx.n_users, ctx.n_ports, ctx.gamma_th, ctx.corr_ratio, ctx.q_hat
-    v1, w1 = _ncx2_quad(1, 0.0, ns)
-    v2, w2 = _ncx2_quad(n - 1, 0.0, ns)
+    (v1, w1), (v2, w2) = _conditioners(ctx, ns)
 
     upper = qh * g / (1.0 + g)                      # x-range where both bands overlap
     sx, wx = _legendre01(nf)
@@ -447,16 +440,13 @@ def _idet_special_raw(ctx: KernelContext, ns: int, nf: int) -> float:
 
 def idet_special_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Probability every port fails the SIR and the harvest test jointly."""
-    if not 0.0 < ctx.mu < 1.0:
-        raise ValueError("idet_special_exact requires mu in (0, 1)")
+    _check_mu(ctx, "idet_special_exact")
     _rayleigh_only(ctx, "idet_special_exact")
     if ctx.q_hat == 0.0:
         return 0.0
     if math.isinf(ctx.q_hat):
         return wdt_sinr_exact(ctx, quad)
-    return _with_richardson(
-        lambda ns, nf: _idet_special_raw(ctx, ns, nf), quad, "idet_special_exact"
-    )
+    return _with_richardson(_idet_special_raw, ctx, quad, "idet_special_exact")
 
 
 def idet_special_approx(ctx: KernelContext) -> float:

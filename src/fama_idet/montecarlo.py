@@ -121,6 +121,8 @@ def _blocks(cfg, trials, seed, cell, groups, reduce):
     s^2 = 1 - mu^2, Z ~ N(0, 1) and C ~ chi2(2G - 1), drawn as a squared
     normal when G = 1.
     """
+    if not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}")
     k, mu, n = cfg.n_ports, cfg.mu, sum(groups)

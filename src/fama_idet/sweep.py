@@ -171,7 +171,9 @@ def spec_from_config(
 
 
 # One exact evaluator per metric, for Rayleigh and Rician cells alike; each
-# reads ctx.rician_k and refuses it where it has no Rician expression.
+# reads ctx.rician_k and refuses it where it has no Rician expression.  The
+# Rayleigh-only name stays because bench/tracing.py rebinds this table by
+# name, until ROADMAP item 4's built-in trace replaces that rebinding.
 _EXACT_RAYLEIGH = {
     Metric.WDT_SINR: analytic.wdt_sinr_exact,
     Metric.WET_SINR: analytic.wet_sinr_exact,
@@ -306,6 +308,8 @@ def _metadata(spec: SweepSpec) -> dict:
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate every cell (optionally in parallel) and emit the file."""
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
     cells = list(enumerate(spec.values)) if spec.axis else [(0, None)]
     shared = [None] * len(cells)
     if spec.axis == "n_ports" and any(meth is Method.MC for _, meth in spec.metrics):

@@ -10,6 +10,7 @@ import pytest
 from scipy import integrate, stats
 from scipy import special as sp
 
+from fama_idet import sweep
 from fama_idet.analytic import (
     DEFAULT_QUAD,
     KernelContext,
@@ -108,11 +109,22 @@ class TestEdgeCases:
         assert wet_sinr_exact(ctx) == pytest.approx(wet_ehp_exact(ctx), rel=1e-8)
 
     def test_mu_bounds_rejected(self):
-        ctx = KernelContext(mu=1.0, gamma_th=2.0, q_hat=1.0, n_users=2, n_ports=2)
-        for fn in (wdt_sinr_exact, wet_ehp_exact, wet_sinr_exact,
-                   wdt_ehp_exact, idet_special_exact):
-            with pytest.raises(ValueError):
-                fn(ctx)
+        # the mu guard runs before the q_hat = 0 and q_hat = inf shortcuts,
+        # so every q_hat must still raise, naming the evaluator
+        for mu in (0.0, 1.0):
+            for q_hat in (1.0, 0.0, math.inf):
+                ctx = KernelContext(mu=mu, gamma_th=2.0, q_hat=q_hat, n_users=2, n_ports=2)
+                for fn in EXACTS.values():
+                    with pytest.raises(ValueError, match=f"{fn.__name__} requires mu"):
+                        fn(ctx)
+
+    def test_unchecked_quadrature_near_default(self):
+        # the benchmark's trace mode times each evaluator without the 1.5x
+        # re-check; that branch must land within the re-check's own gate
+        ctx = ctx_from(n_users=5, n_ports=200, fa_size=5.0, ehp_threshold=0.110)
+        quick = QuadratureSpec(richardson_check=False)
+        for fn in sweep._EXACT_RAYLEIGH.values():
+            assert abs(fn(ctx, quick) - fn(ctx)) <= 10.0 * quick.rel_tol_target, fn.__name__
 
     @pytest.mark.parametrize("fn", [
         wet_sinr_exact, idet_special_exact, wdt_ehp_exact, wdt_sinr_approx,
@@ -293,7 +305,7 @@ class TestContext:
 
 
 class TestPinnedExact:
-    """Pinned EXACT values at four cells, the EXACT twin of TestPinnedStream.
+    """Pinned EXACT values at five cells, the EXACT twin of TestPinnedStream.
 
     A change of the quadrature or of a special function that moves a value
     by more than 1e-12 relative fails here, down to the 9e-29 WET_EHP and
@@ -310,7 +322,13 @@ class TestPinnedExact:
                               4.562793373668492e-13, 2.493816414534503e-16),
         (3, 16, 2.0, 0.005): (0.16810123255092577, 0.014865982130781608,
                               9.328847379297701e-29, 1.4085013375789918e-29),
+        # K = 1: wet_sinr_exact takes the WET_EHP kernel, so the two agree
+        (3, 1, 2.0, 0.030): (0.8885371161823135, 0.576809918873158,
+                             0.576809918873158, 0.5125170219009074),
     }
+    # TestRician.test_rician_matches_monte_carlo's cell (N=3, K=8, W=1,
+    # kappa=2, gamma_th=2, 55 mW): both conditioners noncentral
+    RICIAN = {wdt_sinr_exact: 0.5688844338115202, wet_ehp_exact: 0.6607475134463343}
 
     @pytest.mark.parametrize("cell", list(PINNED), ids=lambda c: "N{}-K{}-W{}-Q{}".format(*c))
     def test_values(self, cell):
@@ -318,4 +336,10 @@ class TestPinnedExact:
         ctx = ctx_from(n_users=n, n_ports=k, fa_size=w, ehp_threshold=q)
         fns = (wdt_sinr_exact, wet_sinr_exact, wet_ehp_exact, idet_special_exact)
         for fn, want in zip(fns, self.PINNED[cell]):
+            assert fn(ctx) == pytest.approx(want, rel=1e-12, abs=0.0), fn.__name__
+
+    def test_rician_values(self):
+        ctx = ctx_from(n_users=3, n_ports=8, fa_size=1.0, rician_k=2.0,
+                       ehp_threshold=0.055, sinr_threshold=2.0)
+        for fn, want in self.RICIAN.items():
             assert fn(ctx) == pytest.approx(want, rel=1e-12, abs=0.0), fn.__name__

@@ -233,6 +233,13 @@ class TestRunSweep:
                 assert got["IDET_GENERAL", method] == (
                     f"{analytic.idet_general(wdt, wet, special):.12g}")
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers, monkeypatch):
+        calls = _count_exact_calls(monkeypatch)
+        with pytest.raises(ConfigError, match="--workers must be at least 1"):
+            run_sweep(spec_from_config(PORT_SWEEP_CFG), workers=workers)
+        assert not calls
+
     def test_rician_metadata_note(self):
         result = run_sweep(spec_from_config(BASE_CFG + "rician_k = 2\n"))
         assert result.metadata["rician_power_normalization"] == "2/(2+kappa)"
@@ -368,6 +375,14 @@ sweep.metrics = WET_EHP:MC, WET_EHP:EXACT, IDET_SPECIAL:MC, IDET_SPECIAL:EXACT
         assert not calls
         # without an MC metric the trial count is never read
         spec_from_config(_with_metrics("WDT_SINR:EXACT"), trials=10)
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_validation(self, workers, tmp_path, capsys, monkeypatch):
+        calls = _count_exact_calls(monkeypatch)
+        cfg = write_cfg(tmp_path, _with_metrics("WDT_SINR:EXACT"))
+        assert main(["eval", cfg, "--workers", workers]) == 1
+        assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not calls
 
     def test_numerical_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG.replace(

@@ -73,6 +73,18 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             simulate_outage_counts(cfg_small(), 999, seed=0)
 
+    def test_non_integer_trials_rejected(self):
+        # checked next to MIN_TRIALS in _blocks, ahead of any draw, for
+        # every entry point that samples
+        for run in (lambda t: simulate_outage_counts(cfg_small(), t, seed=0),
+                    lambda t: simulate_outage_counts(cfg_small(), t, seed=0, k_values=[1]),
+                    lambda t: estimate_energy_efficiency(cfg_small(), Strategy.WDT, t, seed=0),
+                    lambda t: independence_diagnostic(cfg_small(), t, seed=0)):
+            with pytest.raises(ValueError, match="trials must be an integer, got 2000.0"):
+                run(2000.0)
+        assert (simulate_outage_counts(cfg_small(), np.int64(2000), seed=0)["counts"]
+                == simulate_outage_counts(cfg_small(), 2000, seed=0)["counts"])
+
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs about half of the package's import time; only
         # independence_diagnostic needs it, and it imports it when called.
