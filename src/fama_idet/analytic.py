@@ -12,7 +12,8 @@ Semi-infinite axes use Gauss-Laguerre after r = 2t, finite inner ranges use
 Gauss-Legendre, and one driver runs each kernel with an optional Richardson
 check that re-evaluates at 1.5x nodes to bound the truncation error.  Marcum
 Q and the pdf beyond 2 dof come as node grids from specfun's Poisson
-mixtures, contracted by BLAS products.
+mixtures, contracted by BLAS products; the 3-D WET_SINR kernel builds its
+grids in z-slabs on a thread per CPU.
 """
 
 from __future__ import annotations
@@ -24,14 +25,17 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as sp
 
-from .channel import SystemConfig
+from .channel import SystemConfig, _thread_map
 from .specfun import bessel_i_ln, marcum_q_outer, ncx2_pdf_outer
 
 # Inner kernels are clamped here before K*log(.) so the K-th power stays finite.
 _FLOOR = 1e-300
-# Per-axis node cap; keeps the 3-D evaluations at desk scale even with the
-# Richardson refinement (1.5x) applied on top of user-requested counts.
+# Per-axis node cap, also on the Richardson refinement (1.5x): it bounds the
+# time of the 3-D WET_SINR kernel, whose memory the slabs below bound.
 _MAX_NODES = 100
+# (i, z, p) entries one z-slab of _wet_sinr_raw may hold (1 MB per array):
+# 4 slabs at the default 48 x 64 nodes, 8 at their 72 x 96 refinement.
+_SLAB_ENTRIES = 2 ** 17
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -50,6 +54,11 @@ class QuadratureSpec:
     def __post_init__(self):
         if not all(8 <= c <= _MAX_NODES for c in (self.nodes_semiinfinite, self.nodes_finite)):
             raise ValueError(f"node counts must lie in [8, {_MAX_NODES}] (cost guard)")
+        if self.richardson_check and self.nodes_semiinfinite == self.nodes_finite == _MAX_NODES:
+            # the refinement is capped at the same nodes, so it could only read a gap of 0
+            raise ValueError(f"the Richardson check needs room to refine: with both node "
+                             f"counts at the cap of {_MAX_NODES} it would re-evaluate the "
+                             f"same nodes; lower one or set richardson_check=False")
         if not 0.0 < self.rel_tol_target < 1.0:
             raise ValueError("rel_tol_target must be in (0, 1)")
 
@@ -341,32 +350,44 @@ def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int) -> float:
     ws = 2.0 * sy * ws0
     ygrid = qh / (1.0 + z)[:, None] * (sy ** 2)[None, :]   # (z, s)
 
-    # one Marcum call covers all three b-grids
-    b_yz = np.sqrt(z[:, None] * ygrid)              # (z, s)
-    b_qy = np.sqrt(qh - ygrid)                      # (z, s)
-    b_zy = np.sqrt(np.outer(z, yq))                 # (z, p)
-    b_all = np.concatenate([b_yz.ravel(), b_qy.ravel(), b_zy.ravel()])
-    qmat = marcum_q_outer(1, a1, b_all)
-    n1, n2 = b_yz.size, b_qy.size
-    q_yz = qmat[:, :n1].reshape(ns, nf, nf)
-    q_qy = qmat[:, n1:n1 + n2].reshape(ns, nf, nf)
-    q_zy = qmat[:, n1 + n2:].reshape(ns, nf, yq.size)
-
-    # inner bracket integral over y, weighted by the conditional Y pdf f_y
-    # (j, z, s; the i0e form at 2 dof beats the mixture at wide windows); the
-    # arrays below are laid out (i, z, j), so each contraction is a matmul
+    # conditional Y pdf f_y on the whole (j, z, s) grid, so that its Poisson
+    # window does not depend on the slabs (the i0e form at 2 dof beats the
+    # mixture at wide windows)
     f_y = (ncx2_pdf_outer(n - 1, c * v2, ygrid.ravel()).reshape(ns, nf, nf) if n > 2
            else _ncx2_pdf((c * v2)[:, None, None], ygrid[None, :, :]))
-    inner = np.matmul((q_yz - q_qy).transpose(1, 0, 2), (f_y * ws).transpose(1, 2, 0))
-    inner = inner.transpose(1, 0, 2) * (qh / (1.0 + z))[:, None]
 
-    # competing-port pdf f_A(z) = (K-1) (1-H)^{K-2} * Dinner
-    h = np.tensordot(q_zy, wy, axes=(2, 1))
-    f_x = _ncx2_pdf((c * v1)[:, None, None], z[None, :, None] * yq[None, None, :])
-    dinner = np.tensordot(f_x, wy * yq[None, :], axes=(2, 1))
-    f_a = (kp - 1) * _pow_k(1.0 - h, kp - 2) * dinner
+    def slab(zs: slice) -> np.ndarray:
+        """The (i, z) matrix of the integrand summed over j, for the z nodes zs."""
+        zz, yy = z[zs], ygrid[zs]
+        m = zz.size
+        # one Marcum call covers all three b-grids
+        b_yz = np.sqrt(zz[:, None] * yy)            # (z, s)
+        b_qy = np.sqrt(qh - yy)                     # (z, s)
+        b_zy = np.sqrt(np.outer(zz, yq))            # (z, p)
+        qmat = marcum_q_outer(1, a1, np.concatenate([b_yz.ravel(), b_qy.ravel(), b_zy.ravel()]))
+        q_yz = qmat[:, :m * nf].reshape(ns, m, nf)
+        q_qy = qmat[:, m * nf:2 * m * nf].reshape(ns, m, nf)
+        q_zy = qmat[:, 2 * m * nf:].reshape(ns, m, yq.size)
 
-    return kp * float(w1 @ ((f_a * inner) @ w2) @ wz)
+        # inner bracket integral over y, weighted by f_y; the arrays below
+        # are laid out (i, z, j), so each contraction is a matmul
+        inner = np.matmul((q_yz - q_qy).transpose(1, 0, 2), (f_y[:, zs] * ws).transpose(1, 2, 0))
+        inner = inner.transpose(1, 0, 2) * (qh / (1.0 + zz))[:, None]
+
+        # competing-port pdf f_A(z) = (K-1) (1-H)^{K-2} * Dinner
+        h = np.tensordot(q_zy, wy, axes=(2, 1))
+        f_x = _ncx2_pdf((c * v1)[:, None, None], zz[None, :, None] * yq[None, None, :])
+        dinner = np.tensordot(f_x, wy * yq[None, :], axes=(2, 1))
+        f_a = (kp - 1) * _pow_k(1.0 - h, kp - 2) * dinner
+        return (f_a * inner) @ w2
+
+    # every array above is separable in z, so the z nodes split into slabs
+    # of at most _SLAB_ENTRIES (i, z, p) entries; the slab matrices join in
+    # z order, and the one contraction over i and z below keeps every value
+    # the same at any slab or thread count
+    step = max(1, _SLAB_ENTRIES // (ns * yq.size))
+    cols = _thread_map(slab, [slice(lo, lo + step) for lo in range(0, nf, step)])
+    return kp * float(w1 @ np.concatenate(cols, axis=1) @ wz)
 
 
 def wet_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:

@@ -5,17 +5,40 @@ standard normals per BS antenna (correlation mu) plus an independent
 per-port pair.  The Rician model adds a constant line-of-sight phasor
 that is common to all ports of a UE.  Gains are kept in the normalized
 domain (unit-variance quadrature components); path loss enters only
-through the harvested-power scaling.
+through the harvested-power scaling.  `_thread_map` is the one rule by
+which both the Monte-Carlo blocks and the exact kernels spread independent
+work over threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import mu_from_w
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _thread_map(fn, items) -> list:
+    """[fn(x) for x in items], on one thread per CPU when there is more than
+    one of each; the results come back in item order either way."""
+    items = list(items)
+    threads = min(len(items), _cpus())
+    if threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass

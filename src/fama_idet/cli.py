@@ -11,14 +11,7 @@ import math
 import sys
 
 from .specfun import SeriesConvergenceError, mu_from_w
-from .sweep import (
-    ConfigError,
-    compare,
-    render,
-    run_sweep,
-    spec_from_config,
-    write_result,
-)
+from .sweep import ConfigError, _write_atomic, compare, render, run_sweep, spec_from_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -93,8 +86,7 @@ def _cmd_compare(args) -> int:
             )
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_atomic(text, args.out)
     else:
         sys.stdout.write(text)
     return EXIT_OK if all_pass else EXIT_NUMERICAL

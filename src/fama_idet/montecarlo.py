@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import SystemConfig
+from .channel import SystemConfig, _thread_map
 
 BLOCK = 8192
 MIN_TRIALS = 1000
@@ -97,14 +95,6 @@ def los_phases(cfg: SystemConfig, seed: int, n_antennas: int | None = None) -> n
     return rng.uniform(0.0, 2.0 * math.pi, size=n_antennas or cfg.n_users)
 
 
-def _cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _blocks(cfg, trials, seed, cell, groups, reduce):
     """Map `reduce` over UE 0's port powers summed per antenna group, one
     chunk of trials at a time; return its results in block order, then chunk
@@ -161,13 +151,7 @@ def _blocks(cfg, trials, seed, cell, groups, reduce):
             out.append(reduce(chunk))
         return out
 
-    n_blocks = (trials + BLOCK - 1) // BLOCK
-    threads = min(n_blocks, _cpus())
-    if threads == 1:
-        per_block = [run(b) for b in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            per_block = list(pool.map(run, range(n_blocks)))
+    per_block = _thread_map(run, range((trials + BLOCK - 1) // BLOCK))
     return [res for chunks in per_block for res in chunks]
 
 

@@ -350,8 +350,12 @@ def render(result: SweepResult, fmt: str) -> str:
 
 
 def write_result(result: SweepResult, path: str, fmt: str) -> None:
+    """Atomic write of the rendered result (see _write_atomic)."""
+    _write_atomic(render(result, fmt), path)
+
+
+def _write_atomic(text: str, path: str) -> None:
     """Atomic write: temp file in the target directory, then rename."""
-    text = render(result, fmt)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

@@ -5,12 +5,13 @@ exact integrals; the full per-metric grid runs in the acceptance suite.
 """
 
 import math
+import tracemalloc
 
 import pytest
 from scipy import integrate, stats
 from scipy import special as sp
 
-from fama_idet import sweep
+from fama_idet import analytic, channel, sweep
 from fama_idet.analytic import (
     DEFAULT_QUAD,
     KernelContext,
@@ -30,7 +31,7 @@ from fama_idet.analytic import (
 )
 from fama_idet.channel import SystemConfig
 from fama_idet.montecarlo import Metric, simulate_outage_counts, wilson_interval
-from fama_idet.specfun import SeriesConvergenceError
+from fama_idet.specfun import SeriesConvergenceError, marcum_q_outer
 
 
 def ctx_from(**kw):
@@ -140,6 +141,14 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="node counts"):
             QuadratureSpec(nodes_semiinfinite=150, richardson_check=False)
         QuadratureSpec(nodes_semiinfinite=100, nodes_finite=8)
+
+    def test_richardson_check_needs_room_to_refine(self):
+        # at the cap on both axes the refinement is capped at the same nodes,
+        # so its gap would always read 0
+        with pytest.raises(ValueError, match="Richardson check needs room"):
+            QuadratureSpec(nodes_semiinfinite=100, nodes_finite=100)
+        QuadratureSpec(nodes_semiinfinite=100, nodes_finite=100, richardson_check=False)
+        QuadratureSpec(nodes_semiinfinite=100, nodes_finite=99)
 
     def test_small_aperture_hits_series_cap(self):
         # W = 0.05 needs a Marcum window of about 44k terms, past the cap:
@@ -343,3 +352,44 @@ class TestPinnedExact:
                        ehp_threshold=0.055, sinr_threshold=2.0)
         for fn, want in self.RICIAN.items():
             assert fn(ctx) == pytest.approx(want, rel=1e-12, abs=0.0), fn.__name__
+
+
+class TestWetSinrSlabs:
+    """wet_sinr_exact evaluates its 3-D kernel in z-slabs on a thread per CPU."""
+
+    REF = dict(n_users=5, n_ports=200, fa_size=5.0, ehp_threshold=0.110)
+
+    @pytest.mark.parametrize("cell, quad, slabs", [
+        (REF, DEFAULT_QUAD, 4 + 8),
+        (dict(n_users=3, n_ports=64, fa_size=2.0, ehp_threshold=0.030),
+         QuadratureSpec(100, 100, richardson_check=False), 13),
+    ], ids=["reference", "100x100"])
+    def test_same_value_at_any_thread_count(self, cell, quad, slabs, monkeypatch):
+        ctx = ctx_from(**cell)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return marcum_q_outer(*args)
+
+        monkeypatch.setattr(analytic, "marcum_q_outer", counted)
+        values = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(channel, "_cpus", lambda: cpus)
+            values.append(wet_sinr_exact(ctx, quad))
+        assert values[1] == values[0] and values[2] == values[0]
+        assert len(calls) == 3 * slabs  # one Marcum grid per slab
+
+    def test_memory_bounded(self, monkeypatch):
+        # a whole-grid evaluation peaks near 58 MB; two threads hold two
+        # slabs of at most _SLAB_ENTRIES (i, z, p) entries at a time
+        monkeypatch.setattr(channel, "_cpus", lambda: 2)
+        ctx = ctx_from(**self.REF)
+        wet_sinr_exact(ctx)  # node tables are cached
+        tracemalloc.start()
+        try:
+            wet_sinr_exact(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6

@@ -348,6 +348,21 @@ class TestCliEntry:
         assert main(["compare", cfg, "--trials", "20000"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_compare_out_is_atomic(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        out = tmp_path / "report.txt"
+        assert main(["compare", cfg, "--trials", "20000", "--out", str(out)]) == 0
+        assert "PASS" in out.read_text()
+        out.unlink()
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            main(["compare", cfg, "--trials", "20000", "--out", str(out)])
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
     def test_compare_passes_at_zero_counts(self, tmp_path, capsys):
         # both MC counts are 0 at the default 100k trials; EXACT is ~1e-8
         cfg = write_cfg(tmp_path, """

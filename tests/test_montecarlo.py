@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 import fama_idet
-from fama_idet import montecarlo
+from fama_idet import channel, montecarlo
 from fama_idet.channel import (
     SystemConfig,
     generate_rayleigh,
@@ -113,7 +113,7 @@ class TestPinnedStream:
 
     @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}cpu")
     def cpus(self, request, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: request.param)
+        monkeypatch.setattr(channel, "_cpus", lambda: request.param)
         return request.param
 
     def test_counts(self, cpus):
@@ -202,7 +202,7 @@ class TestBlockMemory:
         # at K = 200 a whole (BLOCK, K, groups) array would take 26 MB plain
         # and 105 MB for eight antenna groups; in chunks a block peaks near
         # 2.4 and 3.4 MB
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+        monkeypatch.setattr(channel, "_cpus", lambda: 1)
         cfg = SystemConfig(n_users=5, n_ports=200, fa_size=5.0, ehp_threshold=0.11)
         tracemalloc.start()
         try:
