@@ -13,7 +13,8 @@ Gauss-Legendre, and one driver runs each kernel with an optional Richardson
 check that re-evaluates at 1.5x nodes to bound the truncation error.  Marcum
 Q and the pdf beyond 2 dof come as node grids from specfun's Poisson
 mixtures, contracted by BLAS products; the 3-D WET_SINR kernel builds its
-grids in z-slabs on a thread per CPU.
+grids in z-slabs on a thread per CPU.  The WDT_SINR kernel and its closed
+form share one one-port series, a sum over N-1 Bessel orders (_order_weights).
 """
 
 from __future__ import annotations
@@ -80,25 +81,20 @@ class KernelContext:
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError("mu must lie in [0, 1]")
-        if self.gamma_th <= 0.0:
+        # each check is written to fail on NaN; q_hat may be +inf (ps_ratio = 1)
+        if not self.gamma_th > 0.0:
             raise ValueError("gamma_th must be positive")
-        if self.q_hat < 0.0:
+        if not self.q_hat >= 0.0:
             raise ValueError("q_hat must be nonnegative")
         if self.n_users < 2 or self.n_ports < 1:
             raise ValueError("need n_users >= 2 and n_ports >= 1")
-        if self.rician_k < 0.0:
+        if not self.rician_k >= 0.0:
             raise ValueError("rician_k must be nonnegative")
 
     @classmethod
     def from_config(cls, cfg: SystemConfig) -> "KernelContext":
-        return cls(
-            mu=cfg.mu,
-            gamma_th=cfg.sinr_threshold,
-            q_hat=cfg.q_hat,
-            n_users=cfg.n_users,
-            n_ports=cfg.n_ports,
-            rician_k=cfg.rician_k,
-        )
+        return cls(mu=cfg.mu, gamma_th=cfg.sinr_threshold, q_hat=cfg.q_hat,
+                   n_users=cfg.n_users, n_ports=cfg.n_ports, rician_k=cfg.rician_k)
 
     @property
     def q_tilde(self) -> float:
@@ -177,17 +173,17 @@ def _conditioners(ctx: KernelContext, ns: int):
 
 
 def _with_richardson(raw, ctx: KernelContext, quad: QuadratureSpec, name: str) -> float:
-    """Evaluate raw(ctx, ns, nf), re-evaluate at 1.5x nodes if asked, range-check, clamp."""
+    """Evaluate raw(ctx, ns, nf), re-evaluate at 1.5x nodes if asked, check (NaN fails), clamp."""
     ns, nf, tol = quad.nodes_semiinfinite, quad.nodes_finite, 10.0 * quad.rel_tol_target
     val = raw(ctx, ns, nf)
     if quad.richardson_check:
         refined = raw(ctx, min(math.ceil(1.5 * ns), _MAX_NODES),
                       min(math.ceil(1.5 * nf), _MAX_NODES))
-        if abs(refined - val) > tol:
+        if not abs(refined - val) <= tol:
             raise QuadratureConvergenceError(
                 f"{name}: Richardson deviation {abs(refined - val):.3e} exceeds {tol:.1e}")
         val = refined
-    if val < -tol or val > 1.0 + tol:
+    if not -tol <= val <= 1.0 + tol:
         raise QuadratureConvergenceError(f"{name}: value {val} outside [0, 1]")
     return min(max(val, 0.0), 1.0)
 
@@ -195,6 +191,17 @@ def _with_richardson(raw, ctx: KernelContext, quad: QuadratureSpec, name: str) -
 # ---------------------------------------------------------------------------
 # WDT outage, WDT-oriented port (max-SIR selection)
 # ---------------------------------------------------------------------------
+
+def _order_weights(n: int, g: float) -> list[float]:
+    """B_m = sum_{k<=m} C(n-k-2, m-k) ((g+1)/g)^k, m = 0..n-2: the one-port
+    SIR series' (k, j) terms grouped by Bessel order m = j + k.  Equal to
+    sum_{i<=m} C(n-1, i) g^(i-m), hence the recurrence."""
+    b, weights = 0.0, []
+    for m in range(n - 1):
+        b = b / g + math.comb(n - 1, m)
+        weights.append(b)
+    return weights
+
 
 def _wdt_sinr_raw(ctx: KernelContext, ns: int, nf: int) -> float:
     n, kp, g, c = ctx.n_users, ctx.n_ports, ctx.gamma_th, ctx.corr_ratio
@@ -209,10 +216,8 @@ def _wdt_sinr_raw(ctx: KernelContext, ns: int, nf: int) -> float:
     expo = -c * (g * v2[:, None] + v1[None, :]) / (2.0 * (g + 1.0))
     log_ratio = 0.5 * (np.log(v1)[None, :] - np.log(v2)[:, None])
     s = np.zeros_like(x)
-    for k in range(n - 1):
-        for j in range(n - 1 - k):
-            coeff = math.comb(n - k - 2, j) * (g + 1.0) ** k * g ** (0.5 * (j - k))
-            s += coeff * np.exp(bessel_i_ln(j + k, x) + (j + k) * log_ratio + expo)
+    for m, b_m in enumerate(_order_weights(n, g)):
+        s += g ** (0.5 * m) * b_m * np.exp(bessel_i_ln(m, x) + m * log_ratio + expo)
     s *= (g + 1.0) ** (1 - n)
 
     return float(w2 @ _pow_k(q - s, kp) @ w1)
@@ -249,23 +254,14 @@ def wdt_sinr_approx(ctx: KernelContext) -> ClosedFormPair:
     """
     _rayleigh_only(ctx, "wdt_sinr_approx")
     n, kp, g, mu2 = ctx.n_users, ctx.n_ports, ctx.gamma_th, ctx.mu ** 2
-    c_sum = 0.0
-    for k in range(n - 1):
-        for j in range(n - 1 - k):
-            c_sum += (
-                g ** j * (g + 1.0) ** (k + 1)
-                * math.comb(n - k - 2, j)
-                * mu2 ** (j + k) / ((1.0 - mu2) * g + 1.0) ** (j + k + 1)
-            )
-    cval = (
-        ((2.0 * g * (1.0 - mu2) + 1.0) / (2.0 * g * g + (3.0 - mu2) * g + 1.0)) ** (n - 1)
-        * (1.0 - mu2) * c_sum
-    )
-    theorem = max(0.0, 1.0 - kp * (mu2 / (g + 1.0)) ** (n - 1) - kp * cval)
-    corollary = max(
-        0.0,
-        1.0 - kp * (mu2 / (g + 1.0)) ** (n - 1) - kp * ((1.0 - mu2) / (g + 1.0)) ** (n - 1),
-    )
+    d = (1.0 - mu2) * g + 1.0
+    c_sum = sum(g ** m * (g + 1.0) * b_m * mu2 ** m / d ** (m + 1)
+                for m, b_m in enumerate(_order_weights(n, g)))
+    cval = (((2.0 * g * (1.0 - mu2) + 1.0) / (2.0 * g * g + (3.0 - mu2) * g + 1.0)) ** (n - 1)
+            * (1.0 - mu2) * c_sum)
+    shared = 1.0 - kp * (mu2 / (g + 1.0)) ** (n - 1)     # 1 less the term both values subtract
+    theorem = max(0.0, shared - kp * cval)
+    corollary = max(0.0, shared - kp * ((1.0 - mu2) / (g + 1.0)) ** (n - 1))
     return ClosedFormPair(theorem=theorem, corollary=corollary)
 
 
@@ -404,10 +400,8 @@ def wet_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> f
 
 
 def wet_sinr_approx(ctx: KernelContext) -> float:
-    """Small-mu closed form: X+Y decouples from the selection ratio X/Y."""
+    """Small-mu closed form: X+Y decouples from the selection ratio X/Y (1 at q_tilde = inf)."""
     _rayleigh_only(ctx, "wet_sinr_approx")
-    if math.isinf(ctx.q_tilde):
-        return 1.0
     return float(sp.gammainc(ctx.n_users, ctx.q_tilde / 2.0))
 
 
@@ -427,7 +421,7 @@ def wdt_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> fl
     """
     _check_mu(ctx, "wdt_ehp_exact")
     _rayleigh_only(ctx, "wdt_ehp_exact")
-    return 1.0 - (ctx.gamma_th + 1.0) ** (1 - ctx.n_users)
+    return wdt_ehp_approx(ctx)
 
 
 def wdt_ehp_approx(ctx: KernelContext) -> float:

@@ -60,6 +60,9 @@ class SystemConfig:
     mu: float | None = None     # overrides the Eq.-of-W value when set
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_users < 2:
             raise ValueError("n_users must be >= 2 (interference-limited model)")
         if self.n_ports < 1:
@@ -87,15 +90,6 @@ class SystemConfig:
             raise ValueError("q_hat undefined at mu = 1 (degenerate correlation)")
         return (self.distance ** self.pathloss_exp * self.ehp_threshold) / (
             (1.0 - self.mu ** 2) * (1.0 - self.ps_ratio) * self.tx_power
-        )
-
-    @property
-    def q_tilde(self) -> float:
-        """mu -> 0 limit of q_hat, used by the closed-form WET-SINR outage."""
-        if self.ps_ratio >= 1.0:
-            return math.inf if self.ehp_threshold > 0 else 0.0
-        return (self.distance ** self.pathloss_exp * self.ehp_threshold) / (
-            (1.0 - self.ps_ratio) * self.tx_power
         )
 
 

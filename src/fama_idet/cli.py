@@ -11,7 +11,7 @@ import math
 import sys
 
 from .specfun import SeriesConvergenceError, mu_from_w
-from .sweep import ConfigError, _write_atomic, compare, render, run_sweep, spec_from_config
+from .sweep import _write_atomic, compare, render, run_sweep, spec_from_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -49,15 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_spec(args, require_axis: bool):
     with open(args.config, "r") as fh:
         text = fh.read()
-    return spec_from_config(
-        text,
-        trials=args.trials,
-        seed=args.seed,
-        fmt=args.format,
-        out=args.out,
-        require_axis=require_axis,
-        timing=args.timing,
-    )
+    return spec_from_config(text, trials=args.trials, seed=args.seed, fmt=args.format,
+                            out=args.out, require_axis=require_axis, timing=args.timing)
 
 
 def _cmd_sweep(args, require_axis: bool) -> int:
@@ -96,9 +89,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "mu":
-            if args.w <= 0:
-                print("error: --w must be positive", file=sys.stderr)
-                return EXIT_VALIDATION
             print(f"{mu_from_w(args.w):.12g}")
             return EXIT_OK
         if args.command == "sweep":
@@ -107,7 +97,7 @@ def main(argv=None) -> int:
             return _cmd_sweep(args, require_axis=False)
         if args.command == "compare":
             return _cmd_compare(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SeriesConvergenceError as exc:

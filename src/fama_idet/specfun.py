@@ -39,8 +39,8 @@ def mu_from_w(w: float) -> float:
     1F2 is the Struve form of Abramowitz & Stegun 11.1.7,
     1F2(1/2; 1, 3/2; -z^2/4) = J0(z) + (pi/2) [J1(z) H0(z) - J0(z) H1(z)].
     """
-    if w <= 0:
-        raise ValueError(f"fluid antenna size must be positive, got {w}")
+    if not 0 < w < math.inf:
+        raise ValueError(f"fluid antenna size must be positive and finite, got {w}")
     z = 2.0 * math.pi * w
     j0, j1 = sp.j0(z), sp.j1(z)
     hyp = j0 + 0.5 * math.pi * (j1 * sp.struve(0, z) - j0 * sp.struve(1, z))

@@ -1,9 +1,10 @@
 """Parameter sweeps over scenario configs with MC and analytic methods.
 
 Configs are flat ``key = value`` text with typed suffixes (dB, mW, W);
-sweeps replace one SystemConfig field per cell.  MC substreams are keyed
-by (seed, cell index, block), and an n_ports sweep's one nested-K pass at
-its largest K by (seed, 0, block), so results do not depend on the worker count.
+sweeps replace one SystemConfig field per cell (an fa_size cell derives its
+mu from its W).  MC substreams are keyed by (seed, cell index, block), and an
+n_ports sweep's one nested-K pass at its largest K by (seed, 0, block), so
+results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import io
 import json
 import math
 import os
+import stat
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -130,8 +132,9 @@ class SweepSpec:
             if float(value) != int(value):
                 raise ConfigError(f"{self.axis} value {value} is not an integer")
             value = int(value)
+        derive_mu = {"mu": None} if self.axis == "fa_size" else {}  # from the cell's own W
         try:
-            return dataclasses.replace(self.base, **{self.axis: value})
+            return dataclasses.replace(self.base, **{self.axis: value}, **derive_mu)
         except ValueError as exc:
             raise ConfigError(f"{self.axis} value {value}: {exc}") from exc
 
@@ -155,6 +158,8 @@ def spec_from_config(
     axis = items.get("sweep.axis", ("", ""))[1]
     if require_axis and not axis:
         raise ConfigError("sweep.axis is required for this command")
+    if axis == "fa_size" and "mu" in cfg_kwargs:
+        raise ConfigError("mu is set, so sweeping fa_size would change nothing; drop mu")
     default_metrics = [(m, meth) for m in Metric for meth in (Method.MC, Method.EXACT)]
     return SweepSpec(
         base=base,
@@ -355,11 +360,19 @@ def write_result(result: SweepResult, path: str, fmt: str) -> None:
 
 
 def _write_atomic(text: str, path: str) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+    """Atomic write: temp file in the target directory, then rename.  The file
+    keeps an existing target's mode; a new one gets 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)     # reading the umask means setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

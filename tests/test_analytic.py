@@ -31,7 +31,7 @@ from fama_idet.analytic import (
 )
 from fama_idet.channel import SystemConfig
 from fama_idet.montecarlo import Metric, simulate_outage_counts, wilson_interval
-from fama_idet.specfun import SeriesConvergenceError, marcum_q_outer
+from fama_idet.specfun import SeriesConvergenceError, bessel_i_ln, marcum_q_outer
 
 
 def ctx_from(**kw):
@@ -162,6 +162,18 @@ class TestEdgeCases:
         with pytest.raises(QuadratureConvergenceError):
             wet_sinr_exact(ctx_from(**SMALL), quad)
 
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_driver_rejects_non_finite(self, bad, check):
+        # NaN fails both the Richardson and the range check, at either node
+        # count: a NaN of the first pass must not pass as a gap of NaN
+        quad = QuadratureSpec(richardson_check=check)
+        first = lambda ctx, ns, nf: bad
+        coarse_only = lambda ctx, ns, nf: bad if ns == quad.nodes_semiinfinite else 0.5
+        for raw in (first, coarse_only) if check else (first,):
+            with pytest.raises(QuadratureConvergenceError, match="probe"):
+                analytic._with_richardson(raw, ctx_from(**SMALL), quad, "probe")
+
 
 class TestClosedForms:
     def test_wdt_pair_structure(self):
@@ -205,6 +217,61 @@ class TestClosedForms:
         )
 
 
+def _kernel_coeffs_by_k_j(n, g):
+    """The one-port WDT series' Bessel coefficients as the (k, j) double sum
+    writes them, C(n-k-2, j) (g+1)^k g^((j-k)/2), summed per order j + k."""
+    out = [0.0] * (n - 1)
+    for k in range(n - 1):
+        for j in range(n - 1 - k):
+            out[j + k] += math.comb(n - k - 2, j) * (g + 1.0) ** k * g ** (0.5 * (j - k))
+    return out
+
+
+def _theorem_by_k_j(n, kp, g, mu2):
+    """wdt_sinr_approx's theorem with its series as the (k, j) double sum."""
+    c_sum = 0.0
+    for k in range(n - 1):
+        for j in range(n - 1 - k):
+            c_sum += (g ** j * (g + 1.0) ** (k + 1) * math.comb(n - k - 2, j)
+                      * mu2 ** (j + k) / ((1.0 - mu2) * g + 1.0) ** (j + k + 1))
+    cval = (((2.0 * g * (1.0 - mu2) + 1.0) / (2.0 * g * g + (3.0 - mu2) * g + 1.0)) ** (n - 1)
+            * (1.0 - mu2) * c_sum)
+    return max(0.0, 1.0 - kp * (mu2 / (g + 1.0)) ** (n - 1) - kp * cval)
+
+
+class TestOrderSeries:
+    """The WDT one-port series, summed once per Bessel order."""
+
+    GRID = [(n, g, mu) for n in (2, 3, 5, 8, 12) for g in (0.3, 1.0, 2.0, 10.0, 100.0)
+            for mu in (0.1, 0.5, 0.9)]
+
+    @pytest.mark.parametrize("n,g", sorted({(n, g) for n, g, _ in GRID}))
+    def test_weights_match_double_sum(self, n, g):
+        weights = analytic._order_weights(n, g)
+        assert len(weights) == n - 1
+        for m, (b_m, want) in enumerate(zip(weights, _kernel_coeffs_by_k_j(n, g))):
+            assert g ** (0.5 * m) * b_m == pytest.approx(want, rel=1e-13, abs=0.0), m
+
+    def test_theorem_matches_double_sum(self):
+        for n, g, mu in self.GRID:
+            for kp in (1, 3):
+                ctx = KernelContext(mu=mu, gamma_th=g, q_hat=1.0, n_users=n, n_ports=kp)
+                assert wdt_sinr_approx(ctx).theorem == pytest.approx(
+                    _theorem_by_k_j(n, kp, g, mu * mu), rel=1e-13, abs=1e-15), (n, g, mu, kp)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_kernel_makes_one_bessel_grid_per_order(self, n, monkeypatch):
+        calls = []
+
+        def counted(order, x):
+            calls.append(order)
+            return bessel_i_ln(order, x)
+
+        monkeypatch.setattr(analytic, "bessel_i_ln", counted)
+        analytic._wdt_sinr_raw(ctx_from(n_users=n, n_ports=8, fa_size=2.0), 16, 16)
+        assert calls == list(range(n - 1))
+
+
 class TestIdetComposition:
     def test_addition_law(self, small_ctx):
         wdt = wdt_sinr_exact(small_ctx)
@@ -243,7 +310,7 @@ class TestIdetComposition:
         # tell the two conditioners apart, since both are chi2(2) there
         cfg = SystemConfig(n_users=n_users, n_ports=1, fa_size=2.0,
                            sinr_threshold=10 ** 0.3, ehp_threshold=0.030)
-        gamma, t = cfg.sinr_threshold, cfg.q_tilde
+        gamma, t = cfg.sinr_threshold, KernelContext.from_config(cfg).q_tilde
         f_y = stats.chi2(2 * (n_users - 1)).pdf
 
         def integrand(y):
@@ -301,7 +368,10 @@ class TestContext:
         ctx = KernelContext.from_config(cfg)
         assert ctx.mu == cfg.mu
         assert ctx.q_hat == cfg.q_hat
-        assert ctx.q_tilde == pytest.approx(cfg.q_tilde, rel=1e-12)
+        # q_hat's mu -> 0 limit, d^beta Q_th / ((1 - rho) P)
+        assert ctx.q_tilde == pytest.approx(
+            cfg.distance ** cfg.pathloss_exp * cfg.ehp_threshold
+            / ((1 - cfg.ps_ratio) * cfg.tx_power), rel=1e-12)
         assert ctx.corr_ratio == pytest.approx(
             cfg.mu ** 2 / (1 - cfg.mu ** 2), rel=1e-12
         )
@@ -311,6 +381,18 @@ class TestContext:
             KernelContext(mu=0.5, gamma_th=0.0, q_hat=1.0, n_users=2, n_ports=2)
         with pytest.raises(ValueError):
             KernelContext(mu=0.5, gamma_th=1.0, q_hat=-1.0, n_users=2, n_ports=2)
+
+    @pytest.mark.parametrize("field", ["mu", "gamma_th", "q_hat", "rician_k"])
+    def test_nan_rejected(self, field):
+        kw = dict(mu=0.5, gamma_th=1.0, q_hat=1.0, n_users=2, n_ports=2, rician_k=0.0)
+        with pytest.raises(ValueError, match=field):
+            KernelContext(**{**kw, field: math.nan})
+
+    def test_infinite_q_hat_allowed(self):
+        # ps_ratio = 1 sends every harvest to the decoder: q_hat = +inf
+        ctx = ctx_from(**SMALL, ps_ratio=1.0)
+        assert math.isinf(ctx.q_hat) and math.isinf(ctx.q_tilde)
+        assert wet_sinr_approx(ctx) == wet_ehp_approx(ctx) == 1.0
 
 
 class TestPinnedExact:
@@ -335,6 +417,25 @@ class TestPinnedExact:
         (3, 1, 2.0, 0.030): (0.8885371161823135, 0.576809918873158,
                              0.576809918873158, 0.5125170219009074),
     }
+    # WDT_SINR alone at N = 8 and 12, where the one-port series has 7 and 11
+    # Bessel orders: (N, K, W, gamma_th) -> WDT_SINR
+    PINNED_WDT = {
+        (8, 16, 2.0, 0.5): 0.403944306064188,
+        (8, 200, 5.0, 0.5): 1.5864952182939466e-05,
+        (12, 16, 2.0, 0.3): 0.42318222149739054,
+        (12, 200, 5.0, 0.3): 2.700946897531155e-05,
+    }
+    # wdt_sinr_approx(...).theorem at K = 1: (N, gamma_th, mu) -> theorem
+    PINNED_THEOREM = {
+        (2, 0.5, 0.3): 0.3336190625708654, (2, 0.5, 0.8): 0.34110464626022424,
+        (2, 2.0, 0.3): 0.6669018290406867, (2, 2.0, 0.8): 0.6749980789658055,
+        (3, 0.5, 0.3): 0.5559707175907633, (3, 0.5, 0.8): 0.5722737014347,
+        (3, 2.0, 0.3): 0.8890597073072743, (3, 2.0, 0.8): 0.8976816874840776,
+        (5, 0.5, 0.3): 0.8028409827147661, (5, 0.5, 0.8): 0.8227492939477421,
+        (5, 2.0, 0.3): 0.9876925584538466, (5, 2.0, 0.8): 0.9902240281589155,
+        (8, 0.5, 0.3): 0.9416650225371045, (8, 0.5, 0.8): 0.9529873301520434,
+        (8, 2.0, 0.3): 0.9995452282663213, (8, 2.0, 0.8): 0.9997157304311007,
+    }
     # TestRician.test_rician_matches_monte_carlo's cell (N=3, K=8, W=1,
     # kappa=2, gamma_th=2, 55 mW): both conditioners noncentral
     RICIAN = {wdt_sinr_exact: 0.5688844338115202, wet_ehp_exact: 0.6607475134463343}
@@ -346,6 +447,18 @@ class TestPinnedExact:
         fns = (wdt_sinr_exact, wet_sinr_exact, wet_ehp_exact, idet_special_exact)
         for fn, want in zip(fns, self.PINNED[cell]):
             assert fn(ctx) == pytest.approx(want, rel=1e-12, abs=0.0), fn.__name__
+
+    @pytest.mark.parametrize("cell", list(PINNED_WDT), ids=lambda c: "N{}-K{}-W{}-g{}".format(*c))
+    def test_wdt_sinr_many_orders(self, cell):
+        n, k, w, g = cell
+        ctx = ctx_from(n_users=n, n_ports=k, fa_size=w, sinr_threshold=g)
+        assert wdt_sinr_exact(ctx) == pytest.approx(self.PINNED_WDT[cell], rel=1e-12, abs=0.0)
+
+    def test_wdt_sinr_theorem(self):
+        for (n, g, mu), want in self.PINNED_THEOREM.items():
+            ctx = ctx_from(n_users=n, n_ports=1, mu=mu, sinr_threshold=g)
+            got = wdt_sinr_approx(ctx).theorem
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (n, g, mu)
 
     def test_rician_values(self):
         ctx = ctx_from(n_users=3, n_ports=8, fa_size=1.0, rician_k=2.0,

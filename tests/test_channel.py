@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fama_idet.analytic import KernelContext
 from fama_idet.channel import (
     ChannelRealization,
     SystemConfig,
@@ -49,18 +50,30 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             cfg_small(**kw)
 
+    @pytest.mark.parametrize("name", [
+        "fa_size", "ps_ratio", "tx_power", "distance", "pathloss_exp", "sinr_threshold",
+        "ehp_threshold", "rician_k", "bandwidth", "fixed_power", "mu",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cfg_small(**{name: value})
+
     def test_q_hat_value(self):
         cfg = cfg_small(mu=0.5, ps_ratio=0.5, tx_power=2.0, distance=10.0,
                         pathloss_exp=2.0, ehp_threshold=0.010)
         want = (100.0 * 0.010) / ((1 - 0.25) * 0.5 * 2.0)
         assert cfg.q_hat == pytest.approx(want, rel=1e-14)
-        assert cfg.q_tilde == pytest.approx(want * (1 - 0.25), rel=1e-14)
+        q_tilde = KernelContext.from_config(cfg).q_tilde
+        assert q_tilde == pytest.approx(want * (1 - 0.25), rel=1e-14)
 
     def test_q_hat_degenerate_ps(self):
         cfg = cfg_small(ps_ratio=1.0)
         assert math.isinf(cfg.q_hat)
-        assert math.isinf(cfg.q_tilde)
-        assert cfg_small(ps_ratio=1.0, ehp_threshold=0.0).q_hat == 0.0
+        assert math.isinf(KernelContext.from_config(cfg).q_tilde)
+        silent = cfg_small(ps_ratio=1.0, ehp_threshold=0.0)
+        assert silent.q_hat == 0.0
+        assert KernelContext.from_config(silent).q_tilde == 0.0
 
 
 class TestRayleigh:

@@ -3,12 +3,14 @@
 import json
 import math
 import os
+import stat
 from collections import Counter
 
 import pytest
 
 from fama_idet import analytic, sweep
 from fama_idet.analytic import DEFAULT_QUAD, KernelContext, QuadratureConvergenceError
+from fama_idet.channel import SystemConfig
 from fama_idet.cli import main
 from fama_idet.montecarlo import Method, Metric, simulate_outage_counts
 from fama_idet.sweep import (
@@ -291,6 +293,99 @@ class TestNestedPortSweep:
         assert all(r["value"] == "NaN" and r["error"] == "unsupported" for r in mc)
         assert len(exact) == 4 * 2
         assert all(not r["error"] and 0.0 < float(r["value"]) < 1.0 for r in exact)
+
+
+class TestFaSizeSweep:
+    CFG = """
+n_users = 3
+n_ports = 8
+sinr_threshold = 3 dB
+ehp_threshold = 30 mW
+sweep.axis = fa_size
+sweep.values = 1, 2, 5
+sweep.metrics = WDT_SINR:EXACT, WET_EHP:EXACT
+"""
+
+    def test_each_cell_derives_mu_from_its_w(self):
+        rows = run_sweep(spec_from_config(self.CFG)).rows
+        for w in (1.0, 2.0, 5.0):
+            ctx = KernelContext.from_config(SystemConfig(
+                n_users=3, n_ports=8, fa_size=w, sinr_threshold=10 ** 0.3, ehp_threshold=0.030))
+            for metric, fn in ((Metric.WDT_SINR, analytic.wdt_sinr_exact),
+                               (Metric.WET_EHP, analytic.wet_ehp_exact)):
+                row, = [r for r in rows if r["axis"] == f"{w:.12g}" and r["metric"] == metric.value]
+                assert row["value"] == f"{fn(ctx):.12g}" and not row["error"]
+        assert len({r["value"] for r in rows if r["metric"] == "WDT_SINR"}) == 3
+
+    def test_fixed_mu_with_fa_size_axis_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, self.CFG + "mu = 0.4\n")
+        assert main(["sweep", cfg]) == 1
+        assert "mu is set" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="mu is set"):
+            spec_from_config(self.CFG + "mu = 0.4\n")
+
+
+class TestNonFiniteInput:
+    EVAL = BASE_CFG.replace("sweep.axis = sinr_threshold\n", "").replace(
+        "sweep.values = 0 dB, 3 dB\n", "")
+
+    @pytest.mark.parametrize("field", ["sinr_threshold", "ehp_threshold", "fa_size", "mu"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_config_value_exits_1(self, field, value, tmp_path, capsys):
+        lines = [l for l in self.EVAL.splitlines() if not l.startswith(field)]
+        cfg = write_cfg(tmp_path, "\n".join(lines + [f"{field} = {value}"]) + "\n")
+        assert main(["eval", cfg]) == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+
+    def test_swept_value_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE_CFG.replace("0 dB, 3 dB", "0 dB, nan"))
+        assert main(["sweep", cfg]) == 1
+        assert "sinr_threshold must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("w", ["nan", "inf", "-2", "0"])
+    def test_mu_verb_exits_1(self, w, capsys):
+        assert main(["mu", "--w", w]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "positive and finite" in captured.err
+
+
+@pytest.fixture
+def umask():
+    """Set the process umask for one test, then restore it."""
+    saved = os.umask(0o022)
+    yield lambda mask: os.umask(mask)
+    os.umask(saved)
+
+
+class TestOutputMode:
+    EVAL = TestNonFiniteInput.EVAL.replace(
+        "sweep.metrics = WDT_SINR:MC, WDT_SINR:EXACT, WET_EHP:MC, WET_EHP:EXACT",
+        "sweep.metrics = WDT_EHP:EXACT")
+
+    def _mode(self, path):
+        return stat.S_IMODE(os.stat(path).st_mode)
+
+    @pytest.mark.parametrize("mask,want", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_new_file_follows_umask(self, mask, want, umask, tmp_path):
+        umask(mask)
+        cfg = write_cfg(tmp_path, self.EVAL)
+        out = tmp_path / "r.csv"
+        assert main(["eval", cfg, "--out", str(out)]) == 0
+        assert self._mode(out) == want
+
+    def test_compare_out_follows_umask(self, umask, tmp_path):
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        out = tmp_path / "report.txt"
+        assert main(["compare", cfg, "--trials", "20000", "--out", str(out)]) == 0
+        assert self._mode(out) == 0o644
+
+    def test_existing_file_keeps_its_mode(self, umask, tmp_path):
+        cfg = write_cfg(tmp_path, self.EVAL)
+        out = tmp_path / "r.csv"
+        out.write_text("old\n")
+        os.chmod(out, 0o640)
+        assert main(["eval", cfg, "--out", str(out)]) == 0
+        assert self._mode(out) == 0o640 and "WDT_EHP" in out.read_text()
 
 
 class TestCompare:
