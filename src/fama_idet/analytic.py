@@ -7,14 +7,19 @@ interference), per-port quantities are independent, so the K-port extremes
 reduce to K-th powers of inner one-port kernels.  A LoS component
 (rician_k > 0) makes the conditioners noncentral; the evaluators without a
 Rician expression refuse it rather than return the Rayleigh value.
-Each kernel `_*_raw(ctx, ns, nf)` reads all but its node counts from ctx.
+Each kernel `_*_raw(ctx, ns, nf, ks)` reads all but its node counts and
+port counts from ctx; it builds its K-free grid once and finishes it for
+every K of ks, returning one value per K.  Each evaluator is written once
+over ks (`_*_ports`); the public `*_exact` evaluators run it at
+(ctx.n_ports,), and an n_ports sweep runs it over all of its K values.
 Semi-infinite axes use Gauss-Laguerre after r = 2t, finite inner ranges use
 Gauss-Legendre, and one driver runs each kernel with an optional Richardson
-check that re-evaluates at 1.5x nodes to bound the truncation error.  Marcum
-Q and the pdf beyond 2 dof come as node grids from specfun's Poisson
-mixtures, contracted by BLAS products; the 3-D WET_SINR kernel builds its
-grids in z-slabs on a thread per CPU.  The WDT_SINR kernel and its closed
-form share one one-port series, a sum over N-1 Bessel orders (_order_weights).
+check that re-evaluates at 1.5x nodes to bound the truncation error, for
+each K on its own.  Marcum Q and the pdf beyond 2 dof come as node grids
+from specfun's Poisson mixtures, contracted by BLAS products; the 3-D
+WET_SINR kernel builds its grids in z-slabs on a thread per CPU.  The
+WDT_SINR kernel and its closed form share one one-port series, a sum over
+N-1 Bessel orders (_order_weights).
 """
 
 from __future__ import annotations
@@ -149,9 +154,11 @@ def _ncx2_pdf(lam, x):
     return 0.5 * np.exp(-0.5 * (np.sqrt(lam) - np.sqrt(x)) ** 2) * sp.i0e(np.sqrt(lam * x))
 
 
-def _pow_k(values: np.ndarray, k: int) -> np.ndarray:
-    """values**k through exp(k log .), with values clamped into (0, 1]."""
-    return np.exp(k * np.log(np.clip(values, _FLOOR, 1.0)))
+def _powers(values: np.ndarray, ks):
+    """values**k for each k of ks, one at a time, through exp(k log .), with
+    values clamped into (0, 1]."""
+    log_v = np.log(np.clip(values, _FLOOR, 1.0))
+    return (np.exp(k * log_v) for k in ks)
 
 
 def _rayleigh_only(ctx: KernelContext, name: str) -> None:
@@ -172,20 +179,39 @@ def _conditioners(ctx: KernelContext, ns: int):
             _ncx2_quad(n - 1, lam2, ns))    # interference conditioner (2(N-1) dof)
 
 
-def _with_richardson(raw, ctx: KernelContext, quad: QuadratureSpec, name: str) -> float:
-    """Evaluate raw(ctx, ns, nf), re-evaluate at 1.5x nodes if asked, check (NaN fails), clamp."""
+def _with_richardson(raw, ctx: KernelContext, quad: QuadratureSpec, name: str, ks) -> list:
+    """Evaluate raw(ctx, ns, nf, ks) and, if asked, again at 1.5x nodes; then
+    check (NaN fails) and clamp each K's value on its own.  A K that fails
+    gets its QuadratureConvergenceError in place of its value."""
     ns, nf, tol = quad.nodes_semiinfinite, quad.nodes_finite, 10.0 * quad.rel_tol_target
-    val = raw(ctx, ns, nf)
-    if quad.richardson_check:
-        refined = raw(ctx, min(math.ceil(1.5 * ns), _MAX_NODES),
-                      min(math.ceil(1.5 * nf), _MAX_NODES))
-        if not abs(refined - val) <= tol:
-            raise QuadratureConvergenceError(
-                f"{name}: Richardson deviation {abs(refined - val):.3e} exceeds {tol:.1e}")
-        val = refined
-    if not -tol <= val <= 1.0 + tol:
-        raise QuadratureConvergenceError(f"{name}: value {val} outside [0, 1]")
-    return min(max(val, 0.0), 1.0)
+    coarse = raw(ctx, ns, nf, ks)
+    fine = (raw(ctx, min(math.ceil(1.5 * ns), _MAX_NODES), min(math.ceil(1.5 * nf), _MAX_NODES), ks)
+            if quad.richardson_check else coarse)
+
+    def checked(val, refined):
+        if quad.richardson_check:
+            if not abs(refined - val) <= tol:
+                return QuadratureConvergenceError(
+                    f"{name}: Richardson deviation {abs(refined - val):.3e} exceeds {tol:.1e}")
+            val = refined
+        if not -tol <= val <= 1.0 + tol:
+            return QuadratureConvergenceError(f"{name}: value {val} outside [0, 1]")
+        return min(max(val, 0.0), 1.0)
+
+    return [checked(v, r) for v, r in zip(coarse, fine)]
+
+
+def _value_or_raise(value):
+    """A per-K result of the `_*_ports` evaluators: its value, or its error raised."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _at_n_ports(ports, ctx: KernelContext, quad: QuadratureSpec) -> float:
+    """The public evaluator: `ports` at the one port count ctx.n_ports."""
+    value, = ports(ctx, quad, (ctx.n_ports,))
+    return _value_or_raise(value)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +229,8 @@ def _order_weights(n: int, g: float) -> list[float]:
     return weights
 
 
-def _wdt_sinr_raw(ctx: KernelContext, ns: int, nf: int) -> float:
-    n, kp, g, c = ctx.n_users, ctx.n_ports, ctx.gamma_th, ctx.corr_ratio
+def _wdt_sinr_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
+    n, g, c = ctx.n_users, ctx.gamma_th, ctx.corr_ratio
     (v1, w1), (v2, w2) = _conditioners(ctx, ns)
 
     a = np.sqrt(c * g * v2 / (g + 1.0))
@@ -220,7 +246,7 @@ def _wdt_sinr_raw(ctx: KernelContext, ns: int, nf: int) -> float:
         s += g ** (0.5 * m) * b_m * np.exp(bessel_i_ln(m, x) + m * log_ratio + expo)
     s *= (g + 1.0) ** (1 - n)
 
-    return float(w2 @ _pow_k(q - s, kp) @ w1)
+    return [float(w2 @ p @ w1) for p in _powers(q - s, ks)]
 
 
 def wdt_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -229,8 +255,12 @@ def wdt_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> f
     A LoS component of power rician_k per antenna makes the shared-component
     conditioners noncentral; rician_k = 0 is Rayleigh fading.
     """
+    return _at_n_ports(_wdt_sinr_ports, ctx, quad)
+
+
+def _wdt_sinr_ports(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     _check_mu(ctx, "wdt_sinr_exact")
-    return _with_richardson(_wdt_sinr_raw, ctx, quad, "wdt_sinr_exact")
+    return _with_richardson(_wdt_sinr_raw, ctx, quad, "wdt_sinr_exact", ks)
 
 
 @dataclass(frozen=True)
@@ -269,13 +299,13 @@ def wdt_sinr_approx(ctx: KernelContext) -> ClosedFormPair:
 # WET outage, WET-oriented port (max-power selection)
 # ---------------------------------------------------------------------------
 
-def _wet_ehp_raw(ctx: KernelContext, ns: int, nf: int) -> float:
-    n, kp, c = ctx.n_users, ctx.n_ports, ctx.corr_ratio
+def _wet_ehp_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
+    n, c = ctx.n_users, ctx.corr_ratio
     lam = n * ctx.rician_k / ctx.mu ** 2
     q_eff = ctx.q_hat * (1.0 + 0.5 * ctx.rician_k)  # see wet_ehp_exact
     v, w = _ncx2_quad(n, lam, ns)           # total-power conditioner (2N dof)
     bracket = 1.0 - marcum_q_outer(n, np.sqrt(c * v), [math.sqrt(q_eff)])[:, 0]
-    return float(w @ _pow_k(bracket, kp))
+    return [float(w @ p) for p in _powers(bracket, ks)]
 
 
 def wet_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -286,12 +316,16 @@ def wet_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> fl
     (power-preserving normalization), so the normalized threshold carries
     a (1 + kappa/2) factor; rician_k = 0 is Rayleigh fading.
     """
+    return _at_n_ports(_wet_ehp_ports, ctx, quad)
+
+
+def _wet_ehp_ports(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     _check_mu(ctx, "wet_ehp_exact")
     if ctx.q_hat == 0.0:
-        return 0.0
+        return [0.0] * len(ks)
     if math.isinf(ctx.q_hat):
-        return 1.0
-    return _with_richardson(_wet_ehp_raw, ctx, quad, "wet_ehp_exact")
+        return [1.0] * len(ks)
+    return _with_richardson(_wet_ehp_raw, ctx, quad, "wet_ehp_exact", ks)
 
 
 def wet_ehp_approx(ctx: KernelContext) -> float:
@@ -321,8 +355,8 @@ def wet_ehp_approx(ctx: KernelContext) -> float:
 # WET outage, WDT-oriented port (harvest at the max-SIR port)
 # ---------------------------------------------------------------------------
 
-def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int) -> float:
-    n, kp, g, c, qh = ctx.n_users, ctx.n_ports, ctx.gamma_th, ctx.corr_ratio, ctx.q_hat
+def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
+    n, g, c, qh = ctx.n_users, ctx.gamma_th, ctx.corr_ratio, ctx.q_hat
     (v1, w1), (v2, w2) = _conditioners(ctx, ns)
     a1 = np.sqrt(c * v1)                            # desired-link Marcum parameter
 
@@ -352,8 +386,9 @@ def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int) -> float:
     f_y = (ncx2_pdf_outer(n - 1, c * v2, ygrid.ravel()).reshape(ns, nf, nf) if n > 2
            else _ncx2_pdf((c * v2)[:, None, None], ygrid[None, :, :]))
 
-    def slab(zs: slice) -> np.ndarray:
-        """The (i, z) matrix of the integrand summed over j, for the z nodes zs."""
+    def slab(zs: slice) -> list[np.ndarray]:
+        """The (i, z) matrix of the integrand summed over j, for the z nodes
+        zs: one matrix per K of ks."""
         zz, yy = z[zs], ygrid[zs]
         m = zz.size
         # one Marcum call covers all three b-grids
@@ -370,33 +405,42 @@ def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int) -> float:
         inner = np.matmul((q_yz - q_qy).transpose(1, 0, 2), (f_y[:, zs] * ws).transpose(1, 2, 0))
         inner = inner.transpose(1, 0, 2) * (qh / (1.0 + zz))[:, None]
 
-        # competing-port pdf f_A(z) = (K-1) (1-H)^{K-2} * Dinner
+        # competing-port pdf f_A(z) = (K-1) (1-H)^{K-2} * Dinner, times inner
         h = np.tensordot(q_zy, wy, axes=(2, 1))
         f_x = _ncx2_pdf((c * v1)[:, None, None], zz[None, :, None] * yq[None, None, :])
         dinner = np.tensordot(f_x, wy * yq[None, :], axes=(2, 1))
-        f_a = (kp - 1) * _pow_k(1.0 - h, kp - 2) * dinner
-        return (f_a * inner) @ w2
+        return [((k - 1) * p * dinner * inner) @ w2
+                for k, p in zip(ks, _powers(1.0 - h, [k - 2 for k in ks]))]
 
     # every array above is separable in z, so the z nodes split into slabs
-    # of at most _SLAB_ENTRIES (i, z, p) entries; the slab matrices join in
-    # z order, and the one contraction over i and z below keeps every value
-    # the same at any slab or thread count
+    # of at most _SLAB_ENTRIES (i, z, p) entries; each K's slab matrices join
+    # in z order, and the one contraction over i and z below keeps every
+    # value the same at any slab or thread count
     step = max(1, _SLAB_ENTRIES // (ns * yq.size))
-    cols = _thread_map(slab, [slice(lo, lo + step) for lo in range(0, nf, step)])
-    return kp * float(w1 @ np.concatenate(cols, axis=1) @ wz)
+    slabs = _thread_map(slab, [slice(lo, lo + step) for lo in range(0, nf, step)])
+    return [k * float(w1 @ np.concatenate(cols, axis=1) @ wz)
+            for k, cols in zip(ks, zip(*slabs))]
 
 
 def wet_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Probability the SIR-optimal port harvests below Q_th."""
+    return _at_n_ports(_wet_sinr_ports, ctx, quad)
+
+
+def _wet_sinr_ports(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     _check_mu(ctx, "wet_sinr_exact")
     _rayleigh_only(ctx, "wet_sinr_exact")
     if ctx.q_hat == 0.0:
-        return 0.0
+        return [0.0] * len(ks)
     if math.isinf(ctx.q_hat):
-        return 1.0
-    # single port: the selection conditioning is vacuous
-    raw = _wet_ehp_raw if ctx.n_ports == 1 else _wet_sinr_raw
-    return _with_richardson(raw, ctx, quad, "wet_sinr_exact")
+        return [1.0] * len(ks)
+    # single port: the selection conditioning is vacuous, so K = 1 takes the WET_EHP kernel
+    multi, out = tuple(k for k in ks if k > 1), {}
+    if multi:
+        out.update(zip(multi, _with_richardson(_wet_sinr_raw, ctx, quad, "wet_sinr_exact", multi)))
+    if 1 in ks:
+        out[1], = _with_richardson(_wet_ehp_raw, ctx, quad, "wet_sinr_exact", (1,))
+    return [out[k] for k in ks]
 
 
 def wet_sinr_approx(ctx: KernelContext) -> float:
@@ -419,9 +463,13 @@ def wdt_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> fl
     at every K and mu.  LoS breaks that isotropy, so Rician input is
     refused.  `quad` is unused; it keeps the evaluators' common signature.
     """
+    return _at_n_ports(_wdt_ehp_ports, ctx, quad)
+
+
+def _wdt_ehp_ports(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     _check_mu(ctx, "wdt_ehp_exact")
     _rayleigh_only(ctx, "wdt_ehp_exact")
-    return wdt_ehp_approx(ctx)
+    return [wdt_ehp_approx(ctx)] * len(ks)
 
 
 def wdt_ehp_approx(ctx: KernelContext) -> float:
@@ -435,8 +483,8 @@ def wdt_ehp_approx(ctx: KernelContext) -> float:
 # IDET outages
 # ---------------------------------------------------------------------------
 
-def _idet_special_raw(ctx: KernelContext, ns: int, nf: int) -> float:
-    n, kp, g, c, qh = ctx.n_users, ctx.n_ports, ctx.gamma_th, ctx.corr_ratio, ctx.q_hat
+def _idet_special_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
+    n, g, c, qh = ctx.n_users, ctx.gamma_th, ctx.corr_ratio, ctx.q_hat
     (v1, w1), (v2, w2) = _conditioners(ctx, ns)
 
     upper = qh * g / (1.0 + g)                      # x-range where both bands overlap
@@ -450,18 +498,22 @@ def _idet_special_raw(ctx: KernelContext, ns: int, nf: int) -> float:
 
     f_x = _ncx2_pdf((c * v1)[:, None], x[None, :])           # (i, s)
     inner = upper * np.einsum("js,is,s->ij", diff, f_x, wx)  # rows i: v1, cols j: v2
-    return float(w1 @ _pow_k(inner, kp) @ w2)
+    return [float(w1 @ p @ w2) for p in _powers(inner, ks)]
 
 
 def idet_special_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Probability every port fails the SIR and the harvest test jointly."""
+    return _at_n_ports(_idet_special_ports, ctx, quad)
+
+
+def _idet_special_ports(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     _check_mu(ctx, "idet_special_exact")
     _rayleigh_only(ctx, "idet_special_exact")
     if ctx.q_hat == 0.0:
-        return 0.0
+        return [0.0] * len(ks)
     if math.isinf(ctx.q_hat):
-        return wdt_sinr_exact(ctx, quad)
-    return _with_richardson(_idet_special_raw, ctx, quad, "idet_special_exact")
+        return _wdt_sinr_ports(ctx, quad, ks)
+    return _with_richardson(_idet_special_raw, ctx, quad, "idet_special_exact", ks)
 
 
 def idet_special_approx(ctx: KernelContext) -> float:

@@ -1,7 +1,9 @@
 """Command-line batch runner: sweeps, cross-validation, single-cell eval.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure.
-Cells run on `--workers` processes (default 1).
+Cells run on `--workers` processes (default 1), except in an n_ports sweep:
+it runs one MC pass and one EXACT pass over all its K values in this
+process, and `--workers` has no effect on it.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="flat key=value config file")
         p.add_argument("--trials", type=int, help="MC trials per cell (override)")
         p.add_argument("--seed", type=int, help="MC seed (override)")
-        p.add_argument("--workers", type=int, default=1, help="parallel cells (default: 1)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="parallel cell processes (default: 1); no effect on an n_ports sweep")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--timing", action="store_true",
-                       help="fill the seconds column, where an n_ports sweep's MC rows each "
-                            "carry their shared pass's total (output then differs by run)")
+                       help="fill the seconds column, where an n_ports sweep's MC rows and "
+                            "its EXACT rows each carry their pass's total (output then "
+                            "differs by run)")
 
     add_common(sub.add_parser("sweep", help="run the configured parameter sweep"))
     add_common(sub.add_parser("compare", help="validate MC against EXACT per cell"))

@@ -4,7 +4,10 @@ Configs are flat ``key = value`` text with typed suffixes (dB, mW, W);
 sweeps replace one SystemConfig field per cell (an fa_size cell derives its
 mu from its W).  MC substreams are keyed by (seed, cell index, block), and an
 n_ports sweep's one nested-K pass at its largest K by (seed, 0, block), so
-results do not depend on the worker count.
+results do not depend on the worker count.  An n_ports sweep also runs its
+EXACT metrics as one pass over all its K values, and its cells then only
+assemble rows, in this process; other axes evaluate each cell in full, on
+`workers` processes.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import analytic
-from .analytic import KernelContext, QuadratureConvergenceError
+from .analytic import DEFAULT_QUAD, KernelContext, QuadratureConvergenceError
 from .channel import SystemConfig
 from .montecarlo import MIN_TRIALS, Method, Metric, simulate_outage_counts, wilson_interval
-from .specfun import SeriesConvergenceError
+from .specfun import SeriesConvergenceError, mu_from_w
 
 _INT_FIELDS = {"n_users", "n_ports"}
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SystemConfig)}
@@ -121,6 +124,9 @@ class SweepSpec:
             raise ConfigError(f"trials must be >= {MIN_TRIALS} for MC metrics, got {self.trials}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        # each cell derives its own mu, so a base mu other than the derived one was set
+        if self.axis == "fa_size" and self.base.mu != mu_from_w(self.base.fa_size):
+            raise ConfigError("mu is set, so sweeping fa_size would change nothing; drop mu")
         # constructing each cell validates values against the field invariants
         for v in self.values:
             self.cell_config(v)
@@ -158,8 +164,6 @@ def spec_from_config(
     axis = items.get("sweep.axis", ("", ""))[1]
     if require_axis and not axis:
         raise ConfigError("sweep.axis is required for this command")
-    if axis == "fa_size" and "mu" in cfg_kwargs:
-        raise ConfigError("mu is set, so sweeping fa_size would change nothing; drop mu")
     default_metrics = [(m, meth) for m in Metric for meth in (Method.MC, Method.EXACT)]
     return SweepSpec(
         base=base,
@@ -185,6 +189,16 @@ _EXACT_RAYLEIGH = {
     Metric.WDT_EHP: analytic.wdt_ehp_exact,
     Metric.WET_EHP: analytic.wet_ehp_exact,
     Metric.IDET_SPECIAL: analytic.idet_special_exact,
+}
+
+# The same evaluators over a tuple of port counts, one result per K (a value
+# or the error that K's check raised), for an n_ports sweep's one EXACT pass.
+_EXACT_OVER_PORTS = {
+    Metric.WDT_SINR: analytic._wdt_sinr_ports,
+    Metric.WET_SINR: analytic._wet_sinr_ports,
+    Metric.WDT_EHP: analytic._wdt_ehp_ports,
+    Metric.WET_EHP: analytic._wet_ehp_ports,
+    Metric.IDET_SPECIAL: analytic._idet_special_ports,
 }
 
 
@@ -239,9 +253,41 @@ def _simulate(spec: SweepSpec, cfg: SystemConfig, cell: int, k_values: list) -> 
     return [(counts, seconds, err) for counts in per_k]
 
 
-def _evaluate_cell(spec: SweepSpec, idx: int, value, mc=None) -> list[dict]:
+def _exact_pass(spec: SweepSpec, ks: list) -> list:
+    """One EXACT pass over the port counts ks, in this process: for each K,
+    a table of its EXACT values by metric (each entry returns its value or
+    raises its error, as the evaluators would) and the pass's seconds.  Only
+    the parts IDET_GENERAL could reach are evaluated for it."""
+    t0 = time.perf_counter()
+    results = {}
+
+    def run(m: Metric) -> list:
+        if m not in results:
+            try:
+                ctx = KernelContext.from_config(spec.cell_config(max(ks)))
+                results[m] = _EXACT_OVER_PORTS[m](ctx, DEFAULT_QUAD, tuple(ks))
+            except Exception as exc:    # a guard refuses every K alike
+                results[m] = [exc] * len(ks)
+        return results[m]
+
+    for m, meth in spec.metrics:
+        if meth is not Method.EXACT:
+            continue
+        if m is not Metric.IDET_GENERAL:
+            run(m)
+        elif not all(isinstance(v, Exception) for v in run(Metric.IDET_SPECIAL)):
+            run(Metric.WDT_SINR)
+            run(Metric.WET_EHP)
+    seconds = time.perf_counter() - t0
+    return [({m: lambda ctx, v=v: analytic._value_or_raise(v) for m, v in zip(results, per_k)},
+             seconds) for per_k in zip(*results.values())]
+
+
+def _evaluate_cell(spec: SweepSpec, idx: int, value, mc=None, exact=None) -> list[dict]:
     """All rows for one axis value.  MC metrics share one simulation pass:
-    `mc`, the cell's slice of the sweep's nested pass, or else its own."""
+    `mc`, the cell's slice of the sweep's nested pass, or else its own.
+    EXACT metrics read `exact`, the cell's slice of the sweep's EXACT pass,
+    or else are evaluated here."""
     cfg = spec.cell_config(value)
     axis_label = f"{value:.12g}" if spec.axis else ""
     rows = []
@@ -264,6 +310,9 @@ def _evaluate_cell(spec: SweepSpec, idx: int, value, mc=None) -> list[dict]:
         if meth is Method.MC:
             continue
         table = _EXACT_RAYLEIGH if meth is Method.EXACT else _CLOSED_FORM
+        pass_seconds = None
+        if exact and meth is Method.EXACT:
+            table, pass_seconds = exact
         t0 = time.perf_counter()
         try:
             ctx = KernelContext.from_config(cfg)
@@ -271,7 +320,7 @@ def _evaluate_cell(spec: SweepSpec, idx: int, value, mc=None) -> list[dict]:
             err = ""
         except Exception as exc:
             v, err = math.nan, _error_kind(exc)
-        seconds = time.perf_counter() - t0
+        seconds = time.perf_counter() - t0 if pass_seconds is None else pass_seconds
         rows.append(_row(axis_label, m, meth, v, None, None,
                          seconds if spec.timing else None, err))
     return rows
@@ -316,18 +365,23 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     if workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
     cells = list(enumerate(spec.values)) if spec.axis else [(0, None)]
-    shared = [None] * len(cells)
-    if spec.axis == "n_ports" and any(meth is Method.MC for _, meth in spec.metrics):
-        # one nested-K pass at the largest K, keyed as cell 0, in this process
+    mc = exact = [None] * len(cells)
+    if spec.axis == "n_ports":
+        # one nested-K MC pass at the largest K, keyed as cell 0, and one
+        # EXACT pass over every K, both in this process; the cells then only
+        # assemble rows, so they run here too
         ks = [int(v) for v in spec.values]  # integers, as __post_init__ checked
-        shared = _simulate(spec, spec.cell_config(max(ks)), 0, ks)
-    if workers > 1 and len(cells) > 1:
+        methods = {meth for _, meth in spec.metrics}
+        if Method.MC in methods:
+            mc = _simulate(spec, spec.cell_config(max(ks)), 0, ks)
+        if Method.EXACT in methods:
+            exact = _exact_pass(spec, ks)
+    if workers > 1 and len(cells) > 1 and spec.axis != "n_ports":
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_evaluate_cell, spec, i, v, mc)
-                       for (i, v), mc in zip(cells, shared)]
+            futures = [pool.submit(_evaluate_cell, spec, i, v) for i, v in cells]
             per_cell = [f.result() for f in futures]
     else:
-        per_cell = [_evaluate_cell(spec, i, v, mc) for (i, v), mc in zip(cells, shared)]
+        per_cell = [_evaluate_cell(spec, i, v, m, e) for (i, v), m, e in zip(cells, mc, exact)]
     rows = [r for cell_rows in per_cell for r in cell_rows]
     result = SweepResult(rows, _metadata(spec))
     if spec.output_path:

@@ -166,13 +166,14 @@ class TestEdgeCases:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_driver_rejects_non_finite(self, bad, check):
         # NaN fails both the Richardson and the range check, at either node
-        # count: a NaN of the first pass must not pass as a gap of NaN
+        # count: a NaN of the first pass must not pass as a gap of NaN; the
+        # driver hands the failed K its error in place of a value
         quad = QuadratureSpec(richardson_check=check)
-        first = lambda ctx, ns, nf: bad
-        coarse_only = lambda ctx, ns, nf: bad if ns == quad.nodes_semiinfinite else 0.5
+        first = lambda ctx, ns, nf, ks: [bad] * len(ks)
+        coarse_only = lambda ctx, ns, nf, ks: [bad if ns == quad.nodes_semiinfinite else 0.5] * len(ks)
         for raw in (first, coarse_only) if check else (first,):
-            with pytest.raises(QuadratureConvergenceError, match="probe"):
-                analytic._with_richardson(raw, ctx_from(**SMALL), quad, "probe")
+            err, = analytic._with_richardson(raw, ctx_from(**SMALL), quad, "probe", (2,))
+            assert isinstance(err, QuadratureConvergenceError) and "probe" in str(err)
 
 
 class TestClosedForms:
@@ -268,7 +269,7 @@ class TestOrderSeries:
             return bessel_i_ln(order, x)
 
         monkeypatch.setattr(analytic, "bessel_i_ln", counted)
-        analytic._wdt_sinr_raw(ctx_from(n_users=n, n_ports=8, fa_size=2.0), 16, 16)
+        analytic._wdt_sinr_raw(ctx_from(n_users=n, n_ports=8, fa_size=2.0), 16, 16, (8,))
         assert calls == list(range(n - 1))
 
 
@@ -505,4 +506,20 @@ class TestWetSinrSlabs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 30e6
+
+    def test_port_pass_memory_bounded(self, monkeypatch):
+        # an n_ports sweep's pass finishes every K inside each slab, so seven
+        # K values stay under the bound of one
+        monkeypatch.setattr(channel, "_cpus", lambda: 2)
+        ctx = ctx_from(**self.REF)
+        ks = (2, 4, 8, 16, 64, 128, 200)
+        analytic._wet_sinr_ports(ctx, DEFAULT_QUAD, ks)  # node tables are cached
+        tracemalloc.start()
+        try:
+            values = analytic._wet_sinr_ports(ctx, DEFAULT_QUAD, ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values[-1] == wet_sinr_exact(ctx)
         assert peak < 30e6

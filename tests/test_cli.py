@@ -1,5 +1,6 @@
 """CLI and sweep runner: config parsing, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -295,6 +296,92 @@ class TestNestedPortSweep:
         assert all(not r["error"] and 0.0 < float(r["value"]) < 1.0 for r in exact)
 
 
+# All six metrics by EXACT against K, K = 1 included (WET_SINR's WET_EHP route).
+EXACT_PORT_CFG = """
+n_users = 3
+fa_size = 2
+sinr_threshold = 3 dB
+ehp_threshold = 30 mW
+sweep.axis = n_ports
+sweep.values = 1, 2, 3, 8, 64
+sweep.metrics = """ + ", ".join(f"{m.value}:EXACT" for m in Metric) + "\n"
+
+
+def _per_cell_rows(spec):
+    """The rows of every cell as each cell evaluates them on its own."""
+    return [r for i, v in enumerate(spec.values) for r in sweep._evaluate_cell(spec, i, v)]
+
+
+class TestExactPortPass:
+    """An n_ports sweep evaluates its EXACT metrics in one pass over its K values."""
+
+    def test_rows_match_per_cell_evaluators(self):
+        spec = spec_from_config(EXACT_PORT_CFG)
+        rows = run_sweep(spec).rows
+        tables = sweep._exact_pass(spec, [int(v) for v in spec.values])
+        want = []
+        for v, (table, _) in zip(spec.values, tables):
+            ctx = KernelContext.from_config(spec.cell_config(v))
+            direct = {m: fn(ctx) for m, fn in sweep._EXACT_RAYLEIGH.items()}
+            for m, x in direct.items():   # each K's value is its own evaluator's, to the bit
+                assert repr(table[m](ctx)) == repr(x), (v, m)
+            direct[Metric.IDET_GENERAL] = analytic.idet_general(
+                direct[Metric.WDT_SINR], direct[Metric.WET_EHP], direct[Metric.IDET_SPECIAL])
+            want += [sweep._row(f"{v:.12g}", m, Method.EXACT, direct[m], None, None, None, "")
+                     for m in Metric]
+        assert rows == want
+
+    def test_failed_k_keeps_its_error_and_spares_the_others(self, monkeypatch):
+        raw = analytic._wet_ehp_raw
+
+        def nan_at_8(ctx, ns, nf, ks):
+            return [math.nan if k == 8 else x for k, x in zip(ks, raw(ctx, ns, nf, ks))]
+
+        monkeypatch.setattr(analytic, "_wet_ehp_raw", nan_at_8)
+        spec = spec_from_config(EXACT_PORT_CFG)
+        rows = run_sweep(spec).rows
+        assert rows == _per_cell_rows(spec)
+        failed = {(r["axis"], r["metric"]) for r in rows if r["error"]}
+        assert failed == {("8", "WET_EHP"), ("8", "IDET_GENERAL")}
+        assert all(r["error"] == "convergence" and r["value"] == "NaN"
+                   for r in rows if r["error"])
+
+    @pytest.mark.parametrize("extra, refused", [
+        ("mu = 1\n", set(Metric)),     # the mu guard of every evaluator
+        ("rician_k = 2\n", {Metric.WET_SINR, Metric.WDT_EHP, Metric.IDET_SPECIAL,
+                            Metric.IDET_GENERAL}),
+    ], ids=["mu", "rician"])
+    def test_guard_fails_every_k(self, extra, refused):
+        spec = spec_from_config(EXACT_PORT_CFG + extra)
+        rows = run_sweep(spec).rows
+        assert rows == _per_cell_rows(spec)
+        for r in rows:
+            assert r["error"] == ("unsupported" if Metric(r["metric"]) in refused else ""), r
+
+    def test_starts_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        cfg = write_cfg(tmp_path, PORT_SWEEP_CFG.replace(
+            "WET_EHP:EXACT", "WET_EHP:EXACT, IDET_GENERAL:EXACT, WET_EHP:CLOSED_FORM"))
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            assert main(["sweep", cfg, "--workers", workers, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        # the patch does bite: another axis still runs its cells on a pool
+        with pytest.raises(AssertionError, match="pool"):
+            run_sweep(spec_from_config(BASE_CFG), workers=2)
+
+    def test_timing_gives_exact_rows_the_pass_total(self):
+        spec = dataclasses.replace(spec_from_config(EXACT_PORT_CFG.replace(
+            "sweep.values = 1, 2, 3, 8, 64", "sweep.values = 2, 4")), timing=True)
+        seconds = {r["seconds"] for r in run_sweep(spec).rows}
+        assert len(seconds) == 1 and float(seconds.pop()) > 0.0
+
+
 class TestFaSizeSweep:
     CFG = """
 n_users = 3
@@ -323,6 +410,14 @@ sweep.metrics = WDT_SINR:EXACT, WET_EHP:EXACT
         assert "mu is set" in capsys.readouterr().err
         with pytest.raises(ConfigError, match="mu is set"):
             spec_from_config(self.CFG + "mu = 0.4\n")
+
+    def test_fixed_mu_with_fa_size_axis_refused_in_library_code(self):
+        with pytest.raises(ConfigError, match="mu is set"):
+            SweepSpec(base=SystemConfig(n_users=3, n_ports=8, mu=0.4), axis="fa_size",
+                      values=[1.0, 2.0], metrics=[(Metric.WDT_SINR, Method.EXACT)])
+        # a base whose mu is derived from its own W is no override
+        SweepSpec(base=SystemConfig(n_users=3, n_ports=8, fa_size=2.0), axis="fa_size",
+                  values=[1.0, 2.0], metrics=[(Metric.WDT_SINR, Method.EXACT)])
 
 
 class TestNonFiniteInput:
@@ -507,6 +602,11 @@ sweep.metrics = WET_EHP:MC, WET_EHP:EXACT, IDET_SPECIAL:MC, IDET_SPECIAL:EXACT
         assert float(capsys.readouterr().out) == pytest.approx(0.251924182354,
                                                                rel=1e-9)
         assert main(["mu", "--w", "-2"]) == 1
+
+    def test_mu_verb_refuses_w_where_mu_cancels(self, capsys):
+        assert main(["mu", "--w", "1e7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds 1e+06 wavelengths" in captured.err
 
     def test_timing_flag_fills_seconds(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG)

@@ -247,3 +247,11 @@ class TestMuFromW:
     def test_range(self):
         for w in (0.05, 0.3, 1.0, 7.0, 15.0):
             assert 0.0 < mu_from_w(w) < 1.0
+
+    def test_refuses_w_where_it_cancels(self):
+        # against a 60-digit mpmath reference, the relative error is 1.5e-11
+        # at W = 1e6 and 2.5e-10 at 1e7; at 1e20 the formula read 8e-14 for 5.6e-11
+        assert mu_from_w(1e6) == pytest.approx(5.641895835376509e-4, rel=1e-10)
+        for w in (1e7, 1e20):
+            with pytest.raises(ValueError, match="exceeds 1e\\+06 wavelengths"):
+                mu_from_w(w)
