@@ -201,17 +201,13 @@ def _with_richardson(raw, ctx: KernelContext, quad: QuadratureSpec, name: str, k
     return [checked(v, r) for v, r in zip(coarse, fine)]
 
 
-def _value_or_raise(value):
-    """A per-K result of the `_*_ports` evaluators: its value, or its error raised."""
+def _at_n_ports(ports, ctx: KernelContext, quad: QuadratureSpec) -> float:
+    """The public evaluator: `ports` at the one port count ctx.n_ports, whose
+    error, if its check failed, is raised."""
+    value, = ports(ctx, quad, (ctx.n_ports,))
     if isinstance(value, Exception):
         raise value
     return value
-
-
-def _at_n_ports(ports, ctx: KernelContext, quad: QuadratureSpec) -> float:
-    """The public evaluator: `ports` at the one port count ctx.n_ports."""
-    value, = ports(ctx, quad, (ctx.n_ports,))
-    return _value_or_raise(value)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +352,7 @@ def wet_ehp_approx(ctx: KernelContext) -> float:
 # ---------------------------------------------------------------------------
 
 def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
-    n, g, c, qh = ctx.n_users, ctx.gamma_th, ctx.corr_ratio, ctx.q_hat
+    n, c, qh = ctx.n_users, ctx.corr_ratio, ctx.q_hat
     (v1, w1), (v2, w2) = _conditioners(ctx, ns)
     a1 = np.sqrt(c * v1)                            # desired-link Marcum parameter
 

@@ -1,15 +1,16 @@
 """Command-line batch runner: sweeps, cross-validation, single-cell eval.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure.
-Cells run on `--workers` processes (default 1), except in an n_ports sweep:
-it runs one MC pass and one EXACT pass over all its K values in this
-process, and `--workers` has no effect on it.
+A sweep runs as passes, one per cell, except that an n_ports sweep is one
+pass over all its K values.  Passes run on `--workers` processes (default
+1), so `--workers` has no effect on an n_ports sweep.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .specfun import SeriesConvergenceError, mu_from_w
@@ -33,13 +34,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, help="MC trials per cell (override)")
         p.add_argument("--seed", type=int, help="MC seed (override)")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel cell processes (default: 1); no effect on an n_ports sweep")
+                       help="processes that run the sweep's passes, one pass per cell "
+                            "(default: 1); no effect on an n_ports sweep, which is one pass")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--timing", action="store_true",
-                       help="fill the seconds column, where an n_ports sweep's MC rows and "
-                            "its EXACT rows each carry their pass's total (output then "
-                            "differs by run)")
+                       help="fill the seconds column: each row carries its method's "
+                            "total over the row's pass (output then differs by run)")
 
     add_common(sub.add_parser("sweep", help="run the configured parameter sweep"))
     add_common(sub.add_parser("compare", help="validate MC against EXACT per cell"))
@@ -50,7 +51,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot take a file, before any pass runs."""
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path}: is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValueError(f"--out {path}: its directory does not exist")
+
+
 def _load_spec(args, require_axis: bool):
+    if args.out:
+        _check_out(args.out)
     with open(args.config, "r") as fh:
         text = fh.read()
     return spec_from_config(text, trials=args.trials, seed=args.seed, fmt=args.format,

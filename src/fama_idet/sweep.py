@@ -2,12 +2,12 @@
 
 Configs are flat ``key = value`` text with typed suffixes (dB, mW, W);
 sweeps replace one SystemConfig field per cell (an fa_size cell derives its
-mu from its W).  MC substreams are keyed by (seed, cell index, block), and an
-n_ports sweep's one nested-K pass at its largest K by (seed, 0, block), so
-results do not depend on the worker count.  An n_ports sweep also runs its
-EXACT metrics as one pass over all its K values, and its cells then only
-assemble rows, in this process; other axes evaluate each cell in full, on
-`workers` processes.
+mu from its W).  A sweep runs as passes: one over all the K of an n_ports
+axis, else one per cell.  A pass makes one MC simulation at its largest K,
+one EXACT evaluator call per metric and each cell's closed forms, and gives
+each cell a map of outcomes for its rows.  MC substreams are keyed by (seed,
+pass key, block), the key being the cell index or 0 for an n_ports pass, so
+results do not depend on the `workers` processes that run the passes.
 """
 
 from __future__ import annotations
@@ -180,9 +180,9 @@ def spec_from_config(
 
 
 # One exact evaluator per metric, for Rayleigh and Rician cells alike; each
-# reads ctx.rician_k and refuses it where it has no Rician expression.  The
-# Rayleigh-only name stays because bench/tracing.py rebinds this table by
-# name, until ROADMAP item 4's built-in trace replaces that rebinding.
+# reads ctx.rician_k and refuses it where it has no Rician expression.  A pass
+# at one K reads this table, not _EXACT_OVER_PORTS (their values are equal to
+# the bit), only because bench/tracing.py rebinds this table by name.
 _EXACT_RAYLEIGH = {
     Metric.WDT_SINR: analytic.wdt_sinr_exact,
     Metric.WET_SINR: analytic.wet_sinr_exact,
@@ -192,7 +192,7 @@ _EXACT_RAYLEIGH = {
 }
 
 # The same evaluators over a tuple of port counts, one result per K (a value
-# or the error that K's check raised), for an n_ports sweep's one EXACT pass.
+# or the error that K's check raised), for a pass over several K.
 _EXACT_OVER_PORTS = {
     Metric.WDT_SINR: analytic._wdt_sinr_ports,
     Metric.WET_SINR: analytic._wet_sinr_ports,
@@ -200,7 +200,6 @@ _EXACT_OVER_PORTS = {
     Metric.WET_EHP: analytic._wet_ehp_ports,
     Metric.IDET_SPECIAL: analytic._idet_special_ports,
 }
-
 
 # One closed form per metric; each refuses Rician cells.
 _CLOSED_FORM = {
@@ -211,24 +210,8 @@ _CLOSED_FORM = {
     Metric.IDET_SPECIAL: analytic.idet_special_approx,
 }
 
-
-def _analytic_value(ctx: KernelContext, metric: Metric, table: dict, known: dict) -> float:
-    """Value of `metric` by the evaluators of `table`.  `known` holds the
-    cell's values by that table so far; successes are added to it, so
-    IDET_GENERAL reuses its three parts and a part that raised is evaluated
-    (and raises) again."""
-    if metric in known:
-        return known[metric]
-    if metric is Metric.IDET_GENERAL:
-        # IDET_SPECIAL first: a Rician cell refuses it before the others run
-        special = _analytic_value(ctx, Metric.IDET_SPECIAL, table, known)
-        v = analytic.idet_general(_analytic_value(ctx, Metric.WDT_SINR, table, known),
-                                  _analytic_value(ctx, Metric.WET_EHP, table, known),
-                                  special)
-    else:
-        v = table[metric](ctx)
-    known[metric] = v
-    return v
+# IDET_GENERAL's parts, in the order it is composed from them
+_IDET_PARTS = (Metric.IDET_SPECIAL, Metric.WDT_SINR, Metric.WET_EHP)
 
 
 def _error_kind(exc: Exception) -> str:
@@ -239,90 +222,114 @@ def _error_kind(exc: Exception) -> str:
     return type(exc).__name__
 
 
-def _simulate(spec: SweepSpec, cfg: SystemConfig, cell: int, k_values: list) -> list:
-    """One MC pass: (counts, seconds, error kind) for each nested K of
-    `k_values`.  A failure is recorded in-row, so the sweep keeps running."""
-    t0 = time.perf_counter()
+def _passes(spec: SweepSpec) -> list[tuple[int, list]]:
+    """The sweep's units of work, each (MC cell key, its axis values): one
+    pass over an n_ports axis, keyed as cell 0, whose MC draw at the largest
+    K nests every other K; else one pass per cell, keyed by its index."""
+    values = spec.values if spec.axis else [None]
+    if spec.axis == "n_ports":
+        return [(0, values)]
+    return [(i, [v]) for i, v in enumerate(values)]
+
+
+def _exact(cfg: SystemConfig, ks: list, m: Metric) -> list:
+    """m's EXACT outcome at each K of ks, from one evaluator call at cfg."""
     try:
-        nested = simulate_outage_counts(cfg, spec.trials, spec.seed, cell=cell,
-                                        k_values=k_values)["nested"]
-        per_k, err = [{m: int(nested[m][i]) for m in Metric} for i in range(len(k_values))], ""
+        ctx = KernelContext.from_config(cfg)
+        return ([_EXACT_RAYLEIGH[m](ctx)] if len(ks) == 1
+                else _EXACT_OVER_PORTS[m](ctx, DEFAULT_QUAD, tuple(ks)))
+    except Exception as exc:    # a guard refuses every K alike
+        return [exc] * len(ks)
+
+
+def _closed_form(cfg: SystemConfig, m: Metric):
+    try:
+        return _CLOSED_FORM[m](KernelContext.from_config(cfg))
     except Exception as exc:
-        per_k, err = [None] * len(k_values), _error_kind(exc)
-    seconds = time.perf_counter() - t0
-    return [(counts, seconds, err) for counts in per_k]
+        return exc
 
 
-def _exact_pass(spec: SweepSpec, ks: list) -> list:
-    """One EXACT pass over the port counts ks, in this process: for each K,
-    a table of its EXACT values by metric (each entry returns its value or
-    raises its error, as the evaluators would) and the pass's seconds.  Only
-    the parts IDET_GENERAL could reach are evaluated for it."""
-    t0 = time.perf_counter()
-    results = {}
+def _idet_general(outcomes: dict, method: Method):
+    """IDET_GENERAL by `method` from one cell's stored parts: the error of
+    the first part that raised, or else the addition law (or its error)."""
+    special, wdt, wet = parts = [outcomes.get((m, method)) for m in _IDET_PARTS]
+    for part in parts:
+        if isinstance(part, Exception):
+            return part     # the parts after it may not have been evaluated
+    try:
+        return analytic.idet_general(wdt, wet, special)
+    except ValueError as exc:
+        return exc
 
-    def run(m: Metric) -> list:
-        if m not in results:
-            try:
-                ctx = KernelContext.from_config(spec.cell_config(max(ks)))
-                results[m] = _EXACT_OVER_PORTS[m](ctx, DEFAULT_QUAD, tuple(ks))
-            except Exception as exc:    # a guard refuses every K alike
-                results[m] = [exc] * len(ks)
-        return results[m]
 
-    for m, meth in spec.metrics:
-        if meth is not Method.EXACT:
-            continue
+def _store(outcomes: list, method: Method, metrics: list, evaluate) -> None:
+    """Store `metrics` by `method` in every cell's outcomes, where evaluate(m)
+    gives m's outcome per cell.  Each part is evaluated at most once, failed
+    or not.  IDET_GENERAL evaluates its parts in order until one fails in
+    every cell, so a Rician cell stops at IDET_SPECIAL."""
+    def store(m: Metric) -> bool:
+        """Store m unless it is stored; True if it failed in every cell."""
+        if (m, method) not in outcomes[0]:
+            for out, v in zip(outcomes, evaluate(m)):
+                out[(m, method)] = v
+        return all(isinstance(out[(m, method)], Exception) for out in outcomes)
+
+    for m in metrics:
         if m is not Metric.IDET_GENERAL:
-            run(m)
-        elif not all(isinstance(v, Exception) for v in run(Metric.IDET_SPECIAL)):
-            run(Metric.WDT_SINR)
-            run(Metric.WET_EHP)
-    seconds = time.perf_counter() - t0
-    return [({m: lambda ctx, v=v: analytic._value_or_raise(v) for m, v in zip(results, per_k)},
-             seconds) for per_k in zip(*results.values())]
+            store(m)
+            continue
+        for part in _IDET_PARTS:
+            if store(part):
+                break
+        for out in outcomes:
+            out[(m, method)] = _idet_general(out, method)
 
 
-def _evaluate_cell(spec: SweepSpec, idx: int, value, mc=None, exact=None) -> list[dict]:
-    """All rows for one axis value.  MC metrics share one simulation pass:
-    `mc`, the cell's slice of the sweep's nested pass, or else its own.
-    EXACT metrics read `exact`, the cell's slice of the sweep's EXACT pass,
-    or else are evaluated here."""
-    cfg = spec.cell_config(value)
+def _run_pass(spec: SweepSpec, key: int, values: list) -> tuple[list, dict]:
+    """One pass over the cells of `values`: per cell, a map from (metric,
+    method) to a count, a value or the exception raised; and each method's
+    seconds over the pass.  MC runs once, EXACT once per metric, at the
+    largest K; the closed forms run at each cell's own K."""
+    cfgs = [spec.cell_config(v) for v in values]
+    ks = [cfg.n_ports for cfg in cfgs]
+    top = max(cfgs, key=lambda cfg: cfg.n_ports)
+    outcomes, seconds = [{} for _ in cfgs], {}
+    for method in Method:
+        metrics = [m for m, meth in spec.metrics if meth is method]
+        if not metrics:
+            continue
+        t0 = time.perf_counter()
+        if method is Method.MC:
+            try:
+                nested = simulate_outage_counts(top, spec.trials, spec.seed, cell=key,
+                                                k_values=ks)["nested"]
+                for i, out in enumerate(outcomes):
+                    out.update({(m, method): int(nested[m][i]) for m in metrics})
+            except Exception as exc:    # recorded in-row, so the sweep keeps running
+                for out in outcomes:
+                    out.update({(m, method): exc for m in metrics})
+        elif method is Method.EXACT:
+            _store(outcomes, method, metrics, lambda m: _exact(top, ks, m))
+        else:
+            _store(outcomes, method, metrics, lambda m: [_closed_form(cfg, m) for cfg in cfgs])
+        seconds[method] = time.perf_counter() - t0
+    return outcomes, seconds
+
+
+def _evaluate_cell(spec: SweepSpec, value, outcomes: dict, seconds: dict) -> list[dict]:
+    """All rows for one axis value, from its pass's `outcomes` for the cell
+    and `seconds` per method; every row carries its method's pass seconds."""
     axis_label = f"{value:.12g}" if spec.axis else ""
     rows = []
-    mc_metrics = [m for m, meth in spec.metrics if meth is Method.MC]
-    if mc_metrics:
-        counts, mc_seconds, mc_err = mc or _simulate(spec, cfg, idx, [cfg.n_ports])[0]
-        for m in mc_metrics:
-            if mc_err:
-                rows.append(_row(axis_label, m, Method.MC, math.nan, None,
-                                 spec.trials, None, mc_err))
-                continue
-            lo, hi = wilson_interval(counts[m], spec.trials)
-            rows.append(_row(axis_label, m, Method.MC, counts[m] / spec.trials,
-                             0.5 * (hi - lo), spec.trials,
-                             mc_seconds if spec.timing else None, ""))
-    # this cell's values per method, shared with IDET_GENERAL; one dict per
-    # method, so an EXACT part never stands in for a CLOSED_FORM one
-    known = {Method.EXACT: {}, Method.CLOSED_FORM: {}}
     for m, meth in spec.metrics:
-        if meth is Method.MC:
-            continue
-        table = _EXACT_RAYLEIGH if meth is Method.EXACT else _CLOSED_FORM
-        pass_seconds = None
-        if exact and meth is Method.EXACT:
-            table, pass_seconds = exact
-        t0 = time.perf_counter()
-        try:
-            ctx = KernelContext.from_config(cfg)
-            v = _analytic_value(ctx, m, table, known[meth])
-            err = ""
-        except Exception as exc:
-            v, err = math.nan, _error_kind(exc)
-        seconds = time.perf_counter() - t0 if pass_seconds is None else pass_seconds
-        rows.append(_row(axis_label, m, meth, v, None, None,
-                         seconds if spec.timing else None, err))
+        v, ci, err = outcomes[(m, meth)], None, ""
+        if isinstance(v, Exception):
+            v, err = math.nan, _error_kind(v)
+        elif meth is Method.MC:
+            lo, hi = wilson_interval(v, spec.trials)
+            v, ci = v / spec.trials, 0.5 * (hi - lo)
+        rows.append(_row(axis_label, m, meth, v, ci, spec.trials if meth is Method.MC else None,
+                         seconds[meth] if spec.timing else None, err))
     return rows
 
 
@@ -361,28 +368,19 @@ def _metadata(spec: SweepSpec) -> dict:
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate every cell (optionally in parallel) and emit the file."""
+    """Evaluate every pass (optionally in parallel), then emit the rows."""
     if workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
-    cells = list(enumerate(spec.values)) if spec.axis else [(0, None)]
-    mc = exact = [None] * len(cells)
-    if spec.axis == "n_ports":
-        # one nested-K MC pass at the largest K, keyed as cell 0, and one
-        # EXACT pass over every K, both in this process; the cells then only
-        # assemble rows, so they run here too
-        ks = [int(v) for v in spec.values]  # integers, as __post_init__ checked
-        methods = {meth for _, meth in spec.metrics}
-        if Method.MC in methods:
-            mc = _simulate(spec, spec.cell_config(max(ks)), 0, ks)
-        if Method.EXACT in methods:
-            exact = _exact_pass(spec, ks)
-    if workers > 1 and len(cells) > 1 and spec.axis != "n_ports":
+    passes = _passes(spec)
+    if workers > 1 and len(passes) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_evaluate_cell, spec, i, v) for i, v in cells]
-            per_cell = [f.result() for f in futures]
+            futures = [pool.submit(_run_pass, spec, key, values) for key, values in passes]
+            evaluated = [f.result() for f in futures]
     else:
-        per_cell = [_evaluate_cell(spec, i, v, m, e) for (i, v), m, e in zip(cells, mc, exact)]
-    rows = [r for cell_rows in per_cell for r in cell_rows]
+        evaluated = [_run_pass(spec, key, values) for key, values in passes]
+    rows = [r for (_, values), (outcomes, seconds) in zip(passes, evaluated)
+            for value, cell in zip(values, outcomes)
+            for r in _evaluate_cell(spec, value, cell, seconds)]
     result = SweepResult(rows, _metadata(spec))
     if spec.output_path:
         write_result(result, spec.output_path, spec.format)

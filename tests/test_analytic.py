@@ -4,6 +4,7 @@ Monte-Carlo on the same scenario acts as the independent oracle for the
 exact integrals; the full per-metric grid runs in the acceptance suite.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -174,6 +175,23 @@ class TestEdgeCases:
         for raw in (first, coarse_only) if check else (first,):
             err, = analytic._with_richardson(raw, ctx_from(**SMALL), quad, "probe", (2,))
             assert isinstance(err, QuadratureConvergenceError) and "probe" in str(err)
+
+
+class TestFieldsRead:
+    """Which threshold each kernel reads: the WET outages are tested against
+    q_hat alone (the max-SIR pick does not depend on gamma_th), and the WDT
+    outages against gamma_th alone."""
+
+    @pytest.mark.parametrize("fn, field, values", [
+        (wet_sinr_exact, "gamma_th", (0.5, 8.0)),
+        (wet_ehp_exact, "gamma_th", (0.5, 8.0)),
+        (wdt_sinr_exact, "q_hat", (2.0, 20.0)),
+        (wdt_ehp_exact, "q_hat", (2.0, 20.0)),
+    ], ids=["wet_sinr-gamma", "wet_ehp-gamma", "wdt_sinr-q_hat", "wdt_ehp-q_hat"])
+    def test_other_threshold_leaves_value_unchanged(self, fn, field, values):
+        base = ctx_from(n_users=3, n_ports=4, fa_size=2.0, ehp_threshold=0.030)
+        got = [fn(dataclasses.replace(base, **{field: v})) for v in values]
+        assert repr(got[0]) == repr(got[1])
 
 
 class TestClosedForms:

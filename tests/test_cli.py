@@ -187,8 +187,8 @@ class TestRunSweep:
         rows = run_sweep(spec_from_config(_with_metrics(
             "WET_EHP:EXACT, IDET_GENERAL:EXACT, WDT_SINR:EXACT"))).rows
         assert [r["error"] for r in rows] == ["convergence", "convergence", ""] * 2
-        # a failure is not kept: IDET_GENERAL evaluates the part again
-        assert calls[Metric.WET_EHP] == 4
+        # a failure is kept too: IDET_GENERAL reads the part's stored error
+        assert calls[Metric.WET_EHP] == 2
         assert calls[Metric.WDT_SINR] == 2
 
     def test_rician_idet_general_stops_at_special(self, monkeypatch):
@@ -242,6 +242,20 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="--workers must be at least 1"):
             run_sweep(spec_from_config(PORT_SWEEP_CFG), workers=workers)
         assert not calls
+
+    def test_timing_gives_each_cell_its_method_totals(self):
+        # a threshold axis runs one pass per cell, so each cell's rows of one
+        # method carry that method's total over the cell: here the EXACT rows
+        # share the time of WET_SINR's kernel and WDT_EHP's closed form
+        spec = dataclasses.replace(spec_from_config(_with_metrics(
+            "WDT_SINR:MC, WET_SINR:EXACT, WDT_EHP:EXACT, IDET_GENERAL:EXACT, "
+            "WET_EHP:MC")), timing=True)
+        rows = run_sweep(spec).rows
+        for value in ("1", "1.99526231497"):
+            for method in ("MC", "EXACT"):
+                seconds = {r["seconds"] for r in rows
+                           if r["axis"] == value and r["method"] == method}
+                assert len(seconds) == 1 and float(seconds.pop()) > 0.0, (value, method)
 
     def test_rician_metadata_note(self):
         result = run_sweep(spec_from_config(BASE_CFG + "rician_k = 2\n"))
@@ -308,8 +322,9 @@ sweep.metrics = """ + ", ".join(f"{m.value}:EXACT" for m in Metric) + "\n"
 
 
 def _per_cell_rows(spec):
-    """The rows of every cell as each cell evaluates them on its own."""
-    return [r for i, v in enumerate(spec.values) for r in sweep._evaluate_cell(spec, i, v)]
+    """The rows of every cell as a one-value n_ports sweep gives them: a pass
+    at one K, which runs the public evaluators."""
+    return [r for v in spec.values for r in run_sweep(dataclasses.replace(spec, values=[v])).rows]
 
 
 class TestExactPortPass:
@@ -317,19 +332,16 @@ class TestExactPortPass:
 
     def test_rows_match_per_cell_evaluators(self):
         spec = spec_from_config(EXACT_PORT_CFG)
-        rows = run_sweep(spec).rows
-        tables = sweep._exact_pass(spec, [int(v) for v in spec.values])
-        want = []
-        for v, (table, _) in zip(spec.values, tables):
+        outcomes, _ = sweep._run_pass(spec, 0, spec.values)
+        for v, got in zip(spec.values, outcomes):
             ctx = KernelContext.from_config(spec.cell_config(v))
             direct = {m: fn(ctx) for m, fn in sweep._EXACT_RAYLEIGH.items()}
-            for m, x in direct.items():   # each K's value is its own evaluator's, to the bit
-                assert repr(table[m](ctx)) == repr(x), (v, m)
             direct[Metric.IDET_GENERAL] = analytic.idet_general(
                 direct[Metric.WDT_SINR], direct[Metric.WET_EHP], direct[Metric.IDET_SPECIAL])
-            want += [sweep._row(f"{v:.12g}", m, Method.EXACT, direct[m], None, None, None, "")
-                     for m in Metric]
-        assert rows == want
+            # each K's value is its own public evaluator's, to the bit
+            assert {m: repr(x) for (m, _), x in got.items()} == {
+                m: repr(x) for m, x in direct.items()}, v
+        assert run_sweep(spec).rows == _per_cell_rows(spec)
 
     def test_failed_k_keeps_its_error_and_spares_the_others(self, monkeypatch):
         raw = analytic._wet_ehp_raw
@@ -371,7 +383,7 @@ class TestExactPortPass:
             assert main(["sweep", cfg, "--workers", workers, "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
-        # the patch does bite: another axis still runs its cells on a pool
+        # the patch does bite: another axis still runs its passes on a pool
         with pytest.raises(AssertionError, match="pool"):
             run_sweep(spec_from_config(BASE_CFG), workers=2)
 
@@ -580,6 +592,23 @@ sweep.metrics = WET_EHP:MC, WET_EHP:EXACT, IDET_SPECIAL:MC, IDET_SPECIAL:EXACT
         assert not calls
         # without an MC metric the trial count is never read
         spec_from_config(_with_metrics("WDT_SINR:EXACT"), trials=10)
+
+    @pytest.mark.parametrize("command", ["sweep", "eval", "compare"])
+    @pytest.mark.parametrize("out", ["dir", "missing/x.csv"])
+    def test_unwritable_out_exits_1_before_any_pass(self, command, out, tmp_path, capsys,
+                                                     monkeypatch):
+        calls = _count_exact_calls(monkeypatch)
+        mc_calls = []
+        monkeypatch.setattr(sweep, "simulate_outage_counts",
+                            lambda *a, **kw: mc_calls.append(1))
+        (tmp_path / "dir").mkdir()
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        path = str(tmp_path / out)
+        assert main([command, cfg, "--out", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err
+        assert not calls and not mc_calls
+        assert sorted(os.listdir(tmp_path)) == ["dir", "run.cfg"]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_validation(self, workers, tmp_path, capsys, monkeypatch):

@@ -185,6 +185,14 @@ class TestCountIdentities:
         assert c[Metric.WDT_SINR] == c[Metric.WDT_EHP]
         assert c[Metric.WET_SINR] == c[Metric.WET_EHP]
 
+    def test_wet_counts_read_no_sinr_threshold(self):
+        # gamma changes the SIR test but neither the draw nor the max-SIR pick
+        counts = [simulate_outage_counts(cfg_small(n_users=3, n_ports=4, sinr_threshold=g),
+                                         TRIALS, seed=8)["counts"] for g in (0.5, 4.0)]
+        assert counts[0][Metric.WDT_SINR] != counts[1][Metric.WDT_SINR]
+        for m in (Metric.WET_SINR, Metric.WET_EHP):
+            assert counts[0][m] == counts[1][m], m
+
     def test_strategy_dominance(self):
         # the strategy-matched metric can only do better than the crossed one
         cfg = cfg_small(n_users=3, n_ports=6, ehp_threshold=0.020)
