@@ -12,12 +12,15 @@ port counts from ctx; it builds its K-free grid once and finishes it for
 every K of ks, returning one value per K.  Each evaluator is written once
 over ks (`_*_ports`); the public `*_exact` evaluators run it at
 (ctx.n_ports,), and an n_ports sweep runs it over all of its K values.
-Semi-infinite axes use Gauss-Laguerre after r = 2t, finite inner ranges use
-Gauss-Legendre, and one driver runs each kernel with an optional Richardson
-check that re-evaluates at 1.5x nodes to bound the truncation error, for
-each K on its own.  Marcum Q and the pdf beyond 2 dof come as node grids
-from specfun's Poisson mixtures, contracted by BLAS products; the 3-D
-WET_SINR kernel builds its grids in z-slabs on a thread per CPU.  The
+Semi-infinite axes use Gauss rules built in numpy from their recurrences
+(_gauss_rule): Gauss-Laguerre after r = 2t for the conditioners, and a chi
+rule in u = sqrt(y) for WET_SINR's conditional-Y axis.  Finite inner ranges
+use Gauss-Legendre, and one driver runs each kernel with an optional
+Richardson check that re-evaluates at 1.5x nodes, every axis refined, to
+bound the truncation error, for each K on its own.  Marcum Q and the pdf
+beyond 2 dof come as node grids from specfun's Poisson mixtures, contracted
+by BLAS products; the 3-D WET_SINR kernel builds its grids in z-slabs on a
+thread per CPU.  The
 WDT_SINR kernel and its closed form share one one-port series, a sum over
 N-1 Bessel orders (_order_weights).
 """
@@ -39,9 +42,10 @@ _FLOOR = 1e-300
 # Per-axis node cap, also on the Richardson refinement (1.5x): it bounds the
 # time of the 3-D WET_SINR kernel, whose memory the slabs below bound.
 _MAX_NODES = 100
-# (i, z, p) entries one z-slab of _wet_sinr_raw may hold (1 MB per array):
-# 4 slabs at the default 48 x 64 nodes, 8 at their 72 x 96 refinement.
-_SLAB_ENTRIES = 2 ** 17
+# b-values one z-slab of _wet_sinr_raw hands marcum_q_outer, which bounds its
+# Marcum grid and Poisson term table: 6 slabs at the default 48 x 64 nodes,
+# 12 at their 72 x 96 refinement.
+_SLAB_B_VALUES = 2 ** 11
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -114,11 +118,43 @@ class KernelContext:
         return self.mu ** 2 / (1.0 - self.mu ** 2)
 
 
+def _gauss_rule(alpha: np.ndarray, sqrt_beta: np.ndarray, log_mass: float):
+    """n-node Gauss rule of the measure whose orthonormal polynomials obey
+    sqrt_beta[k] p_{k+1} = (x - alpha[k]) p_k - sqrt_beta[k-1] p_{k-1}, p_0 = 1,
+    from a measure of total mass exp(log_mass).
+
+    The nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch),
+    polished by Newton steps on p_n; the log-weights are log_mass less the log
+    of the Christoffel sum sum_{k<n} p_k(x)^2.  The recurrence is rescaled at
+    every step, so neither the sum nor its log over- or underflows.
+    """
+    n = alpha.size
+    x = np.linalg.eigvalsh(np.diag(alpha) + np.diag(sqrt_beta, -1))
+    for _ in range(3):
+        p_prev, p = np.zeros_like(x), np.ones_like(x)
+        d_prev, d = np.zeros_like(x), np.zeros_like(x)      # derivatives
+        total, log_scale = np.ones_like(x), np.zeros_like(x)
+        for k in range(n):
+            b = sqrt_beta[k - 1] if k else 0.0
+            p_prev, p, d_prev, d = (p, (x - alpha[k]) * p - b * p_prev,
+                                    d, p + (x - alpha[k]) * d - b * d_prev)
+            if k == n - 1:
+                break       # p and d are now p_n and p_n' times sqrt_beta_n
+            p, d = p / sqrt_beta[k], d / sqrt_beta[k]
+            s = np.maximum(np.abs(p), np.abs(p_prev))
+            p, p_prev, d, d_prev = p / s, p_prev / s, d / s, d_prev / s
+            total = total / (s * s) + p * p
+            log_scale += np.log(s)
+        log_w = log_mass - np.log(total) - 2.0 * log_scale
+        x = x - p / d
+    return x, log_w
+
+
 @lru_cache(maxsize=32)
 def _laguerre(n: int):
-    t, w = sp.roots_laguerre(n)
-    with np.errstate(divide="ignore"):
-        return t, np.log(w)
+    """Gauss-Laguerre nodes and log-weights: weight e^-t on (0, inf)."""
+    k = np.arange(n, dtype=float)
+    return _gauss_rule(2.0 * k + 1.0, k[1:], 0.0)
 
 
 @lru_cache(maxsize=32)
@@ -128,23 +164,49 @@ def _legendre01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _ncx2_quad(m: int, lam, n_nodes: int):
+@lru_cache(maxsize=32)
+def _chi_rule(m: int, n: int):
+    """Gauss nodes and log-weights for the weight u^(2m-1) e^(-u^2/2) on
+    (0, inf), the chi density with 2m dof up to its mass 2^(m-1) Gamma(m).
+
+    No closed-form recurrence exists, so a discretised Stieltjes procedure
+    (Gautschi 2004, 2.2) runs it on 24-point Gauss-Legendre panels of width
+    3/4; they reach 15 past sqrt(8n + 4m), beyond the largest node, and
+    integrate every polynomial the procedure needs to full precision.
+    """
+    t, w = _legendre01(24)
+    panels = math.ceil((math.sqrt(8 * n + 4 * m) + 15.0) / 0.75)
+    u = (0.75 * (np.arange(panels)[:, None] + t)).ravel()
+    log_dw = (2 * m - 1) * np.log(u) - 0.5 * u * u + np.log(np.tile(0.75 * w, panels))
+    dw = np.exp(log_dw - log_dw.max())
+    dw /= dw.sum()
+    # the orthonormal polynomials on the discrete measure, one degree a step
+    p_prev, p = np.zeros_like(u), np.ones_like(u)
+    alpha, sqrt_beta = np.empty(n), np.empty(n - 1)
+    for k in range(n):
+        alpha[k] = dw @ (u * p * p)
+        if k == n - 1:
+            break
+        r = (u - alpha[k]) * p - (sqrt_beta[k - 1] if k else 0.0) * p_prev
+        sqrt_beta[k] = math.sqrt(dw @ (r * r))
+        p_prev, p = p, r / sqrt_beta[k]
+    return _gauss_rule(alpha, sqrt_beta, (m - 1) * math.log(2.0) + math.lgamma(m))
+
+
+def _ncx2_quad(m: int, lam: float, n_nodes: int):
     """Nodes v and weights for E[g(v)], v ~ noncentral chi-square(2m, lam).
 
-    `lam` is one rate or an array of rates shaped to broadcast against the
-    nodes, one row per rate (lam[:, None]); the weights then have one row
-    per rate.  Substitution v = 2t folds the e^{-v/2} density factor into
-    the Gauss-Laguerre weight; lam = 0 reduces to the central chi-square.
+    Substitution v = 2t folds the e^{-v/2} density factor into the
+    Gauss-Laguerre weight; lam = 0 reduces to the central chi-square.
     """
     t, logw = _laguerre(n_nodes)
     v = 2.0 * t
-    if np.ndim(lam) == 0 and lam == 0.0:
+    if lam == 0.0:
         extra = (m - 1) * np.log(t) - sp.gammaln(m) if m > 1 else 0.0
     else:
         extra = -0.5 * lam + bessel_i_ln(m - 1, np.sqrt(2.0 * lam * t))
         if m > 1:
-            log_lam = math.log(lam) if np.ndim(lam) == 0 else np.log(lam)
-            extra = extra + 0.5 * (m - 1) * (np.log(v) - log_lam)
+            extra = extra + 0.5 * (m - 1) * (np.log(v) - math.log(lam))
     return v, np.exp(logw + extra)
 
 
@@ -363,12 +425,17 @@ def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
     z = (tz / (1.0 - tz)) ** 2
     wz = wz0 * 2.0 * tz / (1.0 - tz) ** 3
 
-    # shared Laguerre grid for the inner conditional-Y integrals, weighted
-    # by f_Y|v2_j (one row per v2 node); the integrands are functions of
-    # sqrt(y'), whose kink at 0 makes plain Laguerre converge algebraically,
-    # so this axis is oversampled (capped where the Laguerre weights would
-    # underflow)
-    yq, wy = _ncx2_quad(n - 1, (c * v2)[:, None], min(4 * ns, 150))  # wy: (j, p)
+    # shared grid for the inner conditional-Y integrals, weighted by f_Y|v2_j
+    # (one row per v2 node).  The integrands are smooth in u = sqrt(y'), so
+    # the axis takes the Gauss rule in u for the law of sqrt(Y): Y is (1+c)
+    # times a chi-square with 2(N-1) dof, so u = sqrt(1+c) t on the chi
+    # rule's nodes t.  It converges geometrically, also where c v2_j puts
+    # f_Y|v2_j far out; f_Y|v2_j over the rule's weight rides in the weights.
+    t, logw = _chi_rule(n - 1, 2 * ns // 3)
+    yq = (1.0 + c) * t * t
+    ul = np.sqrt(c * (1.0 + c) * v2)[:, None] * t
+    wy = np.exp(logw + (n - 1) * math.log1p(c) - 0.5 * c * (t * t + v2[:, None])
+                + bessel_i_ln(n - 2, ul) - (n - 2) * np.log(ul))     # (j, p)
 
     # finite y-range [0, qh/(1+z)] for the outage bracket; y = range * s^2
     # keeps sqrt(y) in the Marcum and Bessel arguments smooth at y = 0
@@ -409,10 +476,10 @@ def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
                 for k, p in zip(ks, _powers(1.0 - h, [k - 2 for k in ks]))]
 
     # every array above is separable in z, so the z nodes split into slabs
-    # of at most _SLAB_ENTRIES (i, z, p) entries; each K's slab matrices join
-    # in z order, and the one contraction over i and z below keeps every
-    # value the same at any slab or thread count
-    step = max(1, _SLAB_ENTRIES // (ns * yq.size))
+    # whose Marcum grids hold at most _SLAB_B_VALUES b-values, 2 nf + P per z
+    # node; each K's slab matrices join in z order, and the one contraction
+    # over i and z below keeps every value the same at any slab or thread count
+    step = max(1, _SLAB_B_VALUES // (2 * nf + yq.size))
     slabs = _thread_map(slab, [slice(lo, lo + step) for lo in range(0, nf, step)])
     return [k * float(w1 @ np.concatenate(cols, axis=1) @ wz)
             for k, cols in zip(ks, zip(*slabs))]

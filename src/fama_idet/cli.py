@@ -9,6 +9,7 @@ pass over all its K values.  Passes run on `--workers` processes (default
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -59,6 +60,18 @@ def _check_out(path: str) -> None:
         raise ValueError(f"--out {path}: its directory does not exist")
 
 
+@contextlib.contextmanager
+def _writing_out(path: str | None):
+    """Report an OSError of the --out write like a bad --out path (exit 1);
+    past _load_spec the only file a command opens is its --out file."""
+    try:
+        yield
+    except OSError as exc:
+        if path is None:
+            raise
+        raise ValueError(f"--out {path}: {exc}") from exc
+
+
 def _load_spec(args, require_axis: bool):
     if args.out:
         _check_out(args.out)
@@ -70,7 +83,8 @@ def _load_spec(args, require_axis: bool):
 
 def _cmd_sweep(args, require_axis: bool) -> int:
     spec = _load_spec(args, require_axis)
-    result = run_sweep(spec, workers=args.workers)
+    with _writing_out(args.out):
+        result = run_sweep(spec, workers=args.workers)
     if not spec.output_path:
         sys.stdout.write(render(result, spec.format))
     return EXIT_NUMERICAL if result.failed else EXIT_OK
@@ -94,7 +108,8 @@ def _cmd_compare(args) -> int:
             )
     text = "\n".join(lines) + "\n"
     if args.out:
-        _write_atomic(text, args.out)
+        with _writing_out(args.out):
+            _write_atomic(text, args.out)
     else:
         sys.stdout.write(text)
     return EXIT_OK if all_pass else EXIT_NUMERICAL

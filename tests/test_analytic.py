@@ -6,8 +6,13 @@ exact integrals; the full per-metric grid runs in the acceptance suite.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import integrate, stats
 from scipy import special as sp
@@ -424,13 +429,13 @@ class TestPinnedExact:
 
     # (N, K, W, Q_th) -> WDT_SINR, WET_SINR, WET_EHP, IDET_SPECIAL
     PINNED = {
-        (5, 200, 5.0, 0.110): (0.08988908271377039, 0.9854814618946255,
+        (5, 200, 5.0, 0.110): (0.08988908271377039, 0.9854814619032947,
                                0.056168548456402595, 0.0048857773635323665),
-        (3, 8, 2.0, 0.030): (0.39924993446036094, 0.5816818202096804,
+        (3, 8, 2.0, 0.030): (0.39924993446036094, 0.5816818488807285,
                              0.015725599813330632, 0.006149846999287868),
-        (3, 64, 2.0, 0.030): (0.002101797285288749, 0.5909440190151508,
+        (3, 64, 2.0, 0.030): (0.002101797285288749, 0.590946074813922,
                               4.562793373668492e-13, 2.493816414534503e-16),
-        (3, 16, 2.0, 0.005): (0.16810123255092577, 0.014865982130781608,
+        (3, 16, 2.0, 0.005): (0.16810123255092577, 0.014865985427508468,
                               9.328847379297701e-29, 1.4085013375789918e-29),
         # K = 1: wet_sinr_exact takes the WET_EHP kernel, so the two agree
         (3, 1, 2.0, 0.030): (0.8885371161823135, 0.576809918873158,
@@ -486,15 +491,77 @@ class TestPinnedExact:
             assert fn(ctx) == pytest.approx(want, rel=1e-12, abs=0.0), fn.__name__
 
 
+class TestGaussRules:
+    """The numpy Gauss rules: Laguerre for the conditioners, the chi rule for
+    WET_SINR's conditional-Y axis in u = sqrt(y)."""
+
+    @pytest.mark.parametrize("n", [8, 24, 48, 72])
+    def test_laguerre_moments(self, n):
+        t, log_w = analytic._laguerre(n)
+        for k in range(2 * n):      # exact up to degree 2n - 1
+            got = np.exp(log_w + k * np.log(t)).sum()
+            assert got == pytest.approx(math.factorial(k), rel=1e-13, abs=0.0), k
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    def test_chi_rule_moments(self, m, n):
+        u, log_w = analytic._chi_rule(m, n)
+        for k in range(2 * n):
+            # int_0^inf u^k u^(2m-1) e^(-u^2/2) du = 2^((2m+k)/2 - 1) Gamma((2m+k)/2)
+            want = math.exp((m + 0.5 * k - 1.0) * math.log(2.0) + math.lgamma(m + 0.5 * k))
+            got = np.exp(log_w + k * np.log(u)).sum()
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), k
+
+    @pytest.mark.parametrize("n", [8, 16, 48, 72, 100, 150])
+    def test_laguerre_matches_scipy(self, n):
+        # most of the gap is scipy's: against 60-digit mpmath rules its
+        # log-weights are off by up to 1.7e-12 at n = 150, these by 6.8e-13
+        t, log_w = analytic._laguerre(n)
+        t_ref, w_ref = sp.roots_laguerre(n)
+        assert np.all(np.abs(t / t_ref - 1.0) <= 2e-13)
+        assert np.all(np.abs(log_w - np.log(w_ref)) <= 2e-13 * (1.0 + np.abs(np.log(w_ref))))
+
+    def test_exact_route_leaves_scipy_linalg_unloaded(self):
+        # scipy.linalg costs 60-90 ms to import; the rules are built in numpy
+        src = str(Path(analytic.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys; from fama_idet.analytic import KernelContext, wet_sinr_exact; "
+                "wet_sinr_exact(KernelContext(mu=0.5, gamma_th=2.0, q_hat=5.0, "
+                "n_users=3, n_ports=4)); print('scipy.linalg' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.strip() == "False"
+
+    def test_refinement_refines_the_y_axis(self, monkeypatch):
+        sizes = []
+        rule = analytic._chi_rule
+
+        def recorded(m, n):
+            sizes.append(n)
+            return rule(m, n)
+
+        monkeypatch.setattr(analytic, "_chi_rule", recorded)
+        wet_sinr_exact(ctx_from(n_users=3, n_ports=8, fa_size=2.0, ehp_threshold=0.030))
+        assert sizes == [32, 48]    # 2/3 of the 48 and the 72 semi-infinite nodes
+
+    def test_n2_inside_ten_to_the_eight_trial_interval(self):
+        # 10^8 MC trials (100 seeds x 10^6) at N=2, K=8, W=1, 3 dB, 20 mW
+        # read 0.607777, 95% Wilson interval [0.607681, 0.607873]; the
+        # 150-node Laguerre y-axis this rule replaced returned 0.6080005
+        ctx = ctx_from(n_users=2, n_ports=8, fa_size=1.0, ehp_threshold=0.020)
+        assert 0.607681 <= wet_sinr_exact(ctx) <= 0.607873
+
+
 class TestWetSinrSlabs:
     """wet_sinr_exact evaluates its 3-D kernel in z-slabs on a thread per CPU."""
 
     REF = dict(n_users=5, n_ports=200, fa_size=5.0, ehp_threshold=0.110)
 
     @pytest.mark.parametrize("cell, quad, slabs", [
-        (REF, DEFAULT_QUAD, 4 + 8),
+        (REF, DEFAULT_QUAD, 6 + 12),
         (dict(n_users=3, n_ports=64, fa_size=2.0, ehp_threshold=0.030),
-         QuadratureSpec(100, 100, richardson_check=False), 13),
+         QuadratureSpec(100, 100, richardson_check=False), 15),
     ], ids=["reference", "100x100"])
     def test_same_value_at_any_thread_count(self, cell, quad, slabs, monkeypatch):
         ctx = ctx_from(**cell)
@@ -506,15 +573,15 @@ class TestWetSinrSlabs:
 
         monkeypatch.setattr(analytic, "marcum_q_outer", counted)
         values = []
-        for cpus in (1, 2, 3):
+        for cpus in (1, 2, 3, 8):
             monkeypatch.setattr(channel, "_cpus", lambda: cpus)
             values.append(wet_sinr_exact(ctx, quad))
-        assert values[1] == values[0] and values[2] == values[0]
-        assert len(calls) == 3 * slabs  # one Marcum grid per slab
+        assert values[1:] == values[:1] * 3
+        assert len(calls) == 4 * slabs  # one Marcum grid per slab
 
     def test_memory_bounded(self, monkeypatch):
         # a whole-grid evaluation peaks near 58 MB; two threads hold two
-        # slabs of at most _SLAB_ENTRIES (i, z, p) entries at a time
+        # slabs of at most _SLAB_B_VALUES b-values at a time
         monkeypatch.setattr(channel, "_cpus", lambda: 2)
         ctx = ctx_from(**self.REF)
         wet_sinr_exact(ctx)  # node tables are cached
@@ -525,6 +592,20 @@ class TestWetSinrSlabs:
         finally:
             tracemalloc.stop()
         assert peak < 30e6
+
+    def test_memory_bounded_at_eight_cpus(self, monkeypatch):
+        # eight threads hold up to eight slabs at a time, and still stay
+        # under the 58 MB of a whole-grid evaluation
+        monkeypatch.setattr(channel, "_cpus", lambda: 8)
+        ctx = ctx_from(**self.REF)
+        wet_sinr_exact(ctx)  # node tables are cached
+        tracemalloc.start()
+        try:
+            wet_sinr_exact(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 58e6
 
     def test_port_pass_memory_bounded(self, monkeypatch):
         # an n_ports sweep's pass finishes every K inside each slab, so seven

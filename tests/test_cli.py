@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+import tempfile
 from collections import Counter
 
 import pytest
@@ -550,7 +551,7 @@ class TestCliEntry:
         assert main(["compare", cfg, "--trials", "20000"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_compare_out_is_atomic(self, tmp_path, monkeypatch):
+    def test_compare_out_is_atomic(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path, BASE_CFG)
         out = tmp_path / "report.txt"
         assert main(["compare", cfg, "--trials", "20000", "--out", str(out)]) == 0
@@ -561,8 +562,23 @@ class TestCliEntry:
             raise OSError("rename failed")
 
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError, match="rename failed"):
-            main(["compare", cfg, "--trials", "20000", "--out", str(out)])
+        assert main(["compare", cfg, "--trials", "20000", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out {out}: rename failed\n"
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+    @pytest.mark.parametrize("command", ["sweep", "eval", "compare"])
+    def test_out_write_error_exits_1(self, command, tmp_path, monkeypatch, capsys):
+        # a directory the process may not write to; the tests run as root,
+        # for whom no mode bit refuses a write, so mkstemp is made to refuse
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", kwargs.get("dir"))
+
+        monkeypatch.setattr(tempfile, "mkstemp", refuse)
+        cfg = write_cfg(tmp_path, _with_metrics("WDT_SINR:MC, WDT_SINR:EXACT"))
+        path = str(tmp_path / "out.csv")
+        assert main([command, cfg, "--trials", "2000", "--out", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {path}: [Errno 13] Permission denied")
         assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
     def test_compare_passes_at_zero_counts(self, tmp_path, capsys):
