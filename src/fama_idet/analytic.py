@@ -19,10 +19,15 @@ use Gauss-Legendre, and one driver runs each kernel with an optional
 Richardson check that re-evaluates at 1.5x nodes, every axis refined, to
 bound the truncation error, for each K on its own.  Marcum Q and the pdf
 beyond 2 dof come as node grids from specfun's Poisson mixtures, contracted
-by BLAS products; the 3-D WET_SINR kernel builds its grids in z-slabs on a
-thread per CPU.  The
+by BLAS products; the 3-D WET_SINR kernel builds its grids, the pdf of its
+conditional Y included, in z-slabs on a thread per CPU.  The
 WDT_SINR kernel and its closed form share one one-port series, a sum over
-N-1 Bessel orders (_order_weights).
+N-1 Bessel orders (_order_weights).  Every exp whose result feeds a product
+(the 2-dof pdf, the K-th powers, the WDT_SINR Bessel sum) is specfun's
+_flushed_exp: results below the smallest normal double (2.2e-308) become 0,
+since numpy's exp and OpenBLAS are many times slower on subnormal doubles.
+The dropped terms enter with bounded weights, so no value above about
+1e-290 moves; the kernels clamp at _FLOOR = 1e-300 anyway.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 from scipy import special as sp
 
 from .channel import SystemConfig, _thread_map
-from .specfun import bessel_i_ln, marcum_q_outer, ncx2_pdf_outer
+from .specfun import _flushed_exp, _ncx2_pdf_on, bessel_i_ln, marcum_q_outer
 
 # Inner kernels are clamped here before K*log(.) so the K-th power stays finite.
 _FLOOR = 1e-300
@@ -213,14 +218,14 @@ def _ncx2_quad(m: int, lam: float, n_nodes: int):
 def _ncx2_pdf(lam, x):
     """Noncentral chi-square pdf with 2 dof, stable at large arguments."""
     # i0e = e^{-|arg|} I_0: its scaling is the sqrt(lam x) cross term of the exponent
-    return 0.5 * np.exp(-0.5 * (np.sqrt(lam) - np.sqrt(x)) ** 2) * sp.i0e(np.sqrt(lam * x))
+    return 0.5 * _flushed_exp(-0.5 * (np.sqrt(lam) - np.sqrt(x)) ** 2) * sp.i0e(np.sqrt(lam * x))
 
 
 def _powers(values: np.ndarray, ks):
     """values**k for each k of ks, one at a time, through exp(k log .), with
     values clamped into (0, 1]."""
     log_v = np.log(np.clip(values, _FLOOR, 1.0))
-    return (np.exp(k * log_v) for k in ks)
+    return (_flushed_exp(k * log_v) for k in ks)
 
 
 def _rayleigh_only(ctx: KernelContext, name: str) -> None:
@@ -301,7 +306,7 @@ def _wdt_sinr_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
     log_ratio = 0.5 * (np.log(v1)[None, :] - np.log(v2)[:, None])
     s = np.zeros_like(x)
     for m, b_m in enumerate(_order_weights(n, g)):
-        s += g ** (0.5 * m) * b_m * np.exp(bessel_i_ln(m, x) + m * log_ratio + expo)
+        s += g ** (0.5 * m) * b_m * _flushed_exp(bessel_i_ln(m, x) + m * log_ratio + expo)
     s *= (g + 1.0) ** (1 - n)
 
     return [float(w2 @ p @ w1) for p in _powers(q - s, ks)]
@@ -443,17 +448,18 @@ def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
     ws = 2.0 * sy * ws0
     ygrid = qh / (1.0 + z)[:, None] * (sy ** 2)[None, :]   # (z, s)
 
-    # conditional Y pdf f_y on the whole (j, z, s) grid, so that its Poisson
-    # window does not depend on the slabs (the i0e form at 2 dof beats the
-    # mixture at wide windows)
-    f_y = (ncx2_pdf_outer(n - 1, c * v2, ygrid.ravel()).reshape(ns, nf, nf) if n > 2
-           else _ncx2_pdf((c * v2)[:, None, None], ygrid[None, :, :]))
+    # conditional Y pdf f_y, built per slab on one Poisson window taken from
+    # the whole (z, s) grid, so that the slab layout does not move the window
+    # (the i0e form at 2 dof beats the mixture at wide windows)
+    pdf_y = (_ncx2_pdf_on(n - 1, c * v2, float(ygrid.min()), float(ygrid.max())) if n > 2
+             else lambda y: _ncx2_pdf((c * v2)[:, None], y[None, :]))
 
     def slab(zs: slice) -> list[np.ndarray]:
         """The (i, z) matrix of the integrand summed over j, for the z nodes
         zs: one matrix per K of ks."""
         zz, yy = z[zs], ygrid[zs]
         m = zz.size
+        f_y = pdf_y(yy.ravel()).reshape(ns, m, nf)
         # one Marcum call covers all three b-grids
         b_yz = np.sqrt(zz[:, None] * yy)            # (z, s)
         b_qy = np.sqrt(qh - yy)                     # (z, s)
@@ -465,7 +471,7 @@ def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
 
         # inner bracket integral over y, weighted by f_y; the arrays below
         # are laid out (i, z, j), so each contraction is a matmul
-        inner = np.matmul((q_yz - q_qy).transpose(1, 0, 2), (f_y[:, zs] * ws).transpose(1, 2, 0))
+        inner = np.matmul((q_yz - q_qy).transpose(1, 0, 2), (f_y * ws).transpose(1, 2, 0))
         inner = inner.transpose(1, 0, 2) * (qh / (1.0 + zz))[:, None]
 
         # competing-port pdf f_A(z) = (K-1) (1-H)^{K-2} * Dinner, times inner

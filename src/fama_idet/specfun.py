@@ -3,6 +3,16 @@
 Everything here is pure and reentrant.  Scalar arguments give scalar
 results; array arguments broadcast in the usual numpy way.  The *_outer
 functions return whole grids, contracted from one chunked Poisson term table.
+
+Every exp whose result feeds a contraction goes through _flushed_exp, which
+returns 0 where e^x would fall below the smallest normal double (2.2e-308)
+and np.exp's own value everywhere else.  numpy's SIMD exp spends 14-90x as
+long on a result that underflows or is subnormal as on a normal one, OpenBLAS
+slows on subnormal operands too, and the term tables hold many such terms: a
+Poisson window spans orders whose terms underflow.  A mixture sums at most
+_MAX_TERMS terms with weights <= 1, so the flush moves a value by less than
+_MAX_TERMS * 2.2e-308 ~ 2.2e-304, far below the 1e-300 floor of the
+analytic kernels.
 """
 
 from __future__ import annotations
@@ -12,11 +22,15 @@ import math
 import numpy as np
 from scipy import special as sp
 
-# Poisson mass a mixture may discard, its term cap, and the terms one chunk
-# of the term table may hold (16 MB).
+# Poisson mass a mixture may discard and its term cap.
 _REL_TOL = 1e-10
 _MAX_TERMS = 10_000
-_CHUNK_ENTRIES = 2 ** 21
+# Terms one chunk of the term table holds: 1 MB, so the chunk's log-terms,
+# its terms and the BLAS product reading them fit in a 4 MB L2; but at least
+# _CHUNK_COLS x-values, below which a wide window's product runs at half
+# speed (20 MB for the two buffers at the term cap).
+_CHUNK_ENTRIES = 2 ** 17
+_CHUNK_COLS = 128
 # Largest aperture mu_from_w accepts: above it hyp - J1/z cancels (relative
 # error 1.5e-11 at 1e6 wavelengths, 2.5e-10 at 1e7, 7.9e-7 at 1e10).
 _MAX_W = 1e6
@@ -55,6 +69,35 @@ def mu_from_w(w: float) -> float:
     return math.sqrt(min(max(mu_sq, 0.0), 1.0))
 
 
+def _normal_exp_cut() -> float:
+    """The least x whose np.exp is a normal double, found on np.exp's own
+    rounding so that _flushed_exp keeps every normal result."""
+    tiny, x = np.finfo(float).tiny, math.log(np.finfo(float).tiny)
+    while np.exp(x) < tiny:
+        x = np.nextafter(x, math.inf)
+    while np.exp(np.nextafter(x, -math.inf)) >= tiny:
+        x = np.nextafter(x, -math.inf)
+    return float(x)
+
+
+_EXP_CUT = _normal_exp_cut()
+
+
+def _flushed_exp(x, out: np.ndarray | None = None) -> np.ndarray:
+    """np.exp(x), but exactly 0 wherever that would be subnormal or 0 (x below
+    _EXP_CUT); bit-identical to np.exp everywhere else, NaN included.  Writes
+    into out when given (x's shape, not overlapping x)."""
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.zeros(x.shape)
+    else:
+        out.fill(0.0)
+    # masked lanes skip exp: with numpy 2.4's AVX-512 exp on a Xeon, a result
+    # that underflows to 0 costs 18 ns, a subnormal one 70-120 ns, a normal
+    # one about 1.3 ns
+    return np.exp(x, out=out, where=~(x < _EXP_CUT))
+
+
 def _poisson_k_range(lam_min: float, lam_max: float) -> tuple[int, int]:
     """Index window [k_lo, k_hi] carrying all but < _REL_TOL Poisson mass."""
     k_hi = int(lam_max + 12.0 * math.sqrt(lam_max + 1.0) + 30.0)
@@ -71,20 +114,34 @@ def _poisson_k_range(lam_min: float, lam_max: float) -> tuple[int, int]:
     return k_lo, k_hi
 
 
-def _poisson_weights(lam: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Poisson pmf matrix exp(k ln(lam) - lam - ln k!), rows over lam."""
+def _poisson_weights(lam: np.ndarray, ks: np.ndarray, log_terms: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Poisson pmf matrix exp(k ln(lam) - lam - ln k!), rows over lam, with
+    terms below the smallest normal double flushed to 0.  The log-terms and
+    the terms are built in place, in log_terms and out when given (both
+    (len(lam), len(ks))), else in fresh arrays."""
+    if log_terms is None:
+        log_terms = np.empty((lam.shape[0], ks.shape[0]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.exp(ks * np.log(lam)[:, None] - lam[:, None] - sp.gammaln(ks + 1.0))
+        np.multiply(ks, np.log(lam)[:, None], out=log_terms)
+    log_terms -= lam[:, None]
+    log_terms -= sp.gammaln(ks + 1.0)
+    out = _flushed_exp(log_terms, out)
     out[lam == 0.0] = ks == 0
     return out
 
 
 def _poisson_mixture(weights: np.ndarray, orders: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """weights @ pois(orders; x).T, the term table built _CHUNK_ENTRIES at a time."""
+    """weights @ pois(orders; x).T, the term table built _CHUNK_ENTRIES at a
+    time in two buffers that every chunk reuses, each product written
+    straight into its columns of the result."""
     out = np.empty((weights.shape[0], x.shape[0]))
-    cols = _CHUNK_ENTRIES // orders.shape[0]     # the term cap keeps this >= 209
+    cols = max(_CHUNK_ENTRIES // orders.shape[0], _CHUNK_COLS)
+    log_terms, terms = np.empty((2, min(cols, x.shape[0]), orders.shape[0]))
     for lo in range(0, x.shape[0], cols):
-        out[:, lo:lo + cols] = weights @ _poisson_weights(x[lo:lo + cols], orders).T
+        n = min(cols, x.shape[0] - lo)
+        table = _poisson_weights(x[lo:lo + n], orders, log_terms[:n], terms[:n])
+        np.matmul(weights, table.T, out=out[:, lo:lo + n])
     return out
 
 
@@ -118,7 +175,11 @@ def marcum_q_outer(order: int, a, b) -> np.ndarray:
     pmat = _poisson_weights(lam, ks)
     tail = np.cumsum(pmat[:, :0:-1], axis=1)[:, ::-1]
     out = _poisson_mixture(tail, order + ks[:-1], x)
-    out += pmat.sum(axis=1)[:, None] * sp.gammaincc(order + k_lo, x)[None, :]
+    # row by row, with no (a x b) temporary: fresh memory of that size on
+    # every call costs more in page faults than the loop
+    gamma = sp.gammaincc(order + k_lo, x)
+    for row, mass in zip(out, pmat.sum(axis=1)):
+        row += mass * gamma
     np.clip(out, 0.0, 1.0, out=out)
     out[:, x == 0.0] = 1.0
     return out
@@ -131,8 +192,17 @@ def ncx2_pdf_outer(m: int, lam, x) -> np.ndarray:
     the terms peak near k = sqrt(lam x) / 2, so the window sits at that
     geometric mean and the relative accuracy holds also where x >> lam.
     """
-    alpha, beta = 0.5 * np.asarray(lam, dtype=float), 0.5 * np.asarray(x, dtype=float)
-    k_lo, k_hi = _poisson_k_range(math.sqrt(alpha.min() * beta.min()),
-                                  math.sqrt(alpha.max() * beta.max()))
+    x = np.asarray(x, dtype=float)
+    return _ncx2_pdf_on(m, lam, float(x.min()), float(x.max()))(x)
+
+
+def _ncx2_pdf_on(m: int, lam, x_min: float, x_max: float):
+    """ncx2_pdf_outer(m, lam, .) as a function of x-vectors within
+    [x_min, x_max], all on the one Poisson window of that span, so pieces of
+    a grid evaluated apart sum the same terms as the whole grid."""
+    alpha = 0.5 * np.asarray(lam, dtype=float)
+    k_lo, k_hi = _poisson_k_range(math.sqrt(alpha.min() * (0.5 * x_min)),
+                                  math.sqrt(alpha.max() * (0.5 * x_max)))
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
-    return 0.5 * _poisson_mixture(_poisson_weights(alpha, ks), m - 1 + ks, beta)
+    weights = _poisson_weights(alpha, ks)
+    return lambda x: 0.5 * _poisson_mixture(weights, m - 1 + ks, 0.5 * np.asarray(x, dtype=float))

@@ -420,11 +420,11 @@ class TestContext:
 
 
 class TestPinnedExact:
-    """Pinned EXACT values at five cells, the EXACT twin of TestPinnedStream.
+    """Pinned EXACT values at seven cells, the EXACT twin of TestPinnedStream.
 
     A change of the quadrature or of a special function that moves a value
-    by more than 1e-12 relative fails here, down to the 9e-29 WET_EHP and
-    the 2.5e-16 IDET_SPECIAL that no Monte-Carlo oracle can resolve.
+    by more than 1e-12 relative fails here, down to the 7.9e-116 WET_EHP and
+    the 6.5e-117 IDET_SPECIAL that no Monte-Carlo oracle can resolve.
     """
 
     # (N, K, W, Q_th) -> WDT_SINR, WET_SINR, WET_EHP, IDET_SPECIAL
@@ -440,6 +440,12 @@ class TestPinnedExact:
         # K = 1: wet_sinr_exact takes the WET_EHP kernel, so the two agree
         (3, 1, 2.0, 0.030): (0.8885371161823135, 0.576809918873158,
                              0.576809918873158, 0.5125170219009074),
+        # the term tables with the most subnormals, flushed to 0: the pins
+        # hold down to 6.5e-117
+        (5, 200, 0.3, 0.010): (0.8239990112946709, 0.007186035837334913,
+                               6.109949544297333e-25, 8.03905243532513e-27),
+        (5, 200, 2.0, 0.030): (0.12400545438299529, 0.19742267696338417,
+                               7.9083374942718e-116, 6.505539778455997e-117),
     }
     # WDT_SINR alone at N = 8 and 12, where the one-port series has 7 and 11
     # Bessel orders: (N, K, W, gamma_th) -> WDT_SINR

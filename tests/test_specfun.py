@@ -199,6 +199,44 @@ class TestNcx2Pdf:
         assert np.all(got[:, 0] == 0.0)
 
 
+class TestFlushedExp:
+    """Exps that feed a contraction flush results below the smallest normal
+    double to 0, and keep np.exp's value bit for bit everywhere else."""
+
+    TINY = np.finfo(float).tiny
+
+    def test_poisson_weights_hold_no_subnormal(self):
+        x = np.concatenate([[0.0], np.geomspace(1e-3, 800.0, 500)])
+        ks = np.arange(201, dtype=float)
+        got = specfun._poisson_weights(x, ks)
+        assert np.all((got == 0.0) | (got >= self.TINY))
+        with np.errstate(divide="ignore"):
+            log_terms = ks * np.log(x[1:])[:, None] - x[1:, None] - sp.gammaln(ks + 1.0)
+        want = np.exp(log_terms)
+        live = got[1:] != 0.0
+        assert np.array_equal(got[1:][live], want[live])
+        assert np.all(want[~live] < self.TINY)
+        assert np.any((want > 0.0) & (want < self.TINY))    # the flush had work to do
+        assert np.array_equal(got[0], ks == 0)              # the x = 0 row
+
+    @pytest.mark.parametrize("x", [-708.39, -708.40, -745.2, -np.inf, np.nan, 0.0, -1.0])
+    def test_helper_at_the_edge(self, x):
+        want = np.exp(x)
+        for out in (None, np.full(1, 7.0)):    # a reused buffer is overwritten
+            got = specfun._flushed_exp(np.array([x]), out)[0]
+            if math.isnan(x):
+                assert math.isnan(got)
+            elif want < self.TINY:
+                assert got == 0.0
+            else:
+                assert got == want
+
+    def test_cut_follows_np_exp(self):
+        cut = specfun._EXP_CUT
+        assert np.exp(cut) >= self.TINY > np.exp(np.nextafter(cut, -np.inf))
+        assert np.exp(-708.39) >= self.TINY > np.exp(-708.40) > 0.0
+
+
 class TestHypergeometric:
     @pytest.mark.parametrize("a,b,x,want", HYP1F1_ORACLE)
     def test_1f1_oracle(self, a, b, x, want):
