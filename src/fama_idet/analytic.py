@@ -9,9 +9,10 @@ reduce to K-th powers of inner one-port kernels.  A LoS component
 Rician expression refuse it rather than return the Rayleigh value.
 Each kernel `_*_raw(ctx, ns, nf, ks)` reads all but its node counts and
 port counts from ctx; it builds its K-free grid once and finishes it for
-every K of ks, returning one value per K.  Each evaluator is written once
-over ks (`_*_ports`); the public `*_exact` evaluators run it at
-(ctx.n_ports,), and an n_ports sweep runs it over all of its K values.
+every K of ks, returning one value per K.  Each evaluator is written once,
+over ks, and _at_n_ports makes it the public `*_exact(ctx, quad)`, which
+runs it at (ctx.n_ports,); an n_ports sweep runs its `.over_ports` form
+over all of its K values.
 Semi-infinite axes use Gauss rules built in numpy from their recurrences
 (_gauss_rule): Gauss-Laguerre after r = 2t for the conditioners, and a chi
 rule in u = sqrt(y) for WET_SINR's conditional-Y axis.  Finite inner ranges
@@ -268,13 +269,22 @@ def _with_richardson(raw, ctx: KernelContext, quad: QuadratureSpec, name: str, k
     return [checked(v, r) for v, r in zip(coarse, fine)]
 
 
-def _at_n_ports(ports, ctx: KernelContext, quad: QuadratureSpec) -> float:
-    """The public evaluator: `ports` at the one port count ctx.n_ports, whose
-    error, if its check failed, is raised."""
-    value, = ports(ctx, quad, (ctx.n_ports,))
-    if isinstance(value, Exception):
-        raise value
-    return value
+def _at_n_ports(ports):
+    """Decorator: ports(ctx, quad, ks) gives one outcome per K of ks, a value
+    or the error that K's check gave.  The public evaluator runs it at the one
+    port count ctx.n_ports and raises that K's error; it takes ports' name and
+    docstring and keeps ports as .over_ports.  It sets no __wrapped__, so its
+    signature stays (ctx, quad=DEFAULT_QUAD)."""
+    def evaluator(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+        value, = ports(ctx, quad, (ctx.n_ports,))
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    evaluator.__name__, evaluator.__qualname__ = ports.__name__, ports.__qualname__
+    evaluator.__doc__ = ports.__doc__
+    evaluator.over_ports = ports
+    return evaluator
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +322,13 @@ def _wdt_sinr_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
     return [float(w2 @ p @ w1) for p in _powers(q - s, ks)]
 
 
-def wdt_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+@_at_n_ports
+def wdt_sinr_exact(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     """Probability that the best-SIR port still falls below gamma_th.
 
     A LoS component of power rician_k per antenna makes the shared-component
     conditioners noncentral; rician_k = 0 is Rayleigh fading.
     """
-    return _at_n_ports(_wdt_sinr_ports, ctx, quad)
-
-
-def _wdt_sinr_ports(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     _check_mu(ctx, "wdt_sinr_exact")
     return _with_richardson(_wdt_sinr_raw, ctx, quad, "wdt_sinr_exact", ks)
 
@@ -371,7 +378,8 @@ def _wet_ehp_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
     return [float(w @ p) for p in _powers(bracket, ks)]
 
 
-def wet_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+@_at_n_ports
+def wet_ehp_exact(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     """Probability that even the most energetic port harvests below Q_th.
 
     Under LoS (rician_k > 0) the 2N-dof conditioner is noncentral.  The
@@ -379,10 +387,6 @@ def wet_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> fl
     (power-preserving normalization), so the normalized threshold carries
     a (1 + kappa/2) factor; rician_k = 0 is Rayleigh fading.
     """
-    return _at_n_ports(_wet_ehp_ports, ctx, quad)
-
-
-def _wet_ehp_ports(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     _check_mu(ctx, "wet_ehp_exact")
     if ctx.q_hat == 0.0:
         return [0.0] * len(ks)
@@ -491,12 +495,9 @@ def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
             for k, cols in zip(ks, zip(*slabs))]
 
 
-def wet_sinr_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+@_at_n_ports
+def wet_sinr_exact(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     """Probability the SIR-optimal port harvests below Q_th."""
-    return _at_n_ports(_wet_sinr_ports, ctx, quad)
-
-
-def _wet_sinr_ports(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     _check_mu(ctx, "wet_sinr_exact")
     _rayleigh_only(ctx, "wet_sinr_exact")
     if ctx.q_hat == 0.0:
@@ -522,7 +523,8 @@ def wet_sinr_approx(ctx: KernelContext) -> float:
 # WDT outage, WET-oriented port (decode at the max-power port)
 # ---------------------------------------------------------------------------
 
-def wdt_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+@_at_n_ports
+def wdt_ehp_exact(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     """Probability the power-optimal port decodes below gamma_th.
 
     Exact for Rayleigh fading in closed form: a common unitary rotation of
@@ -532,10 +534,6 @@ def wdt_ehp_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> fl
     at every K and mu.  LoS breaks that isotropy, so Rician input is
     refused.  `quad` is unused; it keeps the evaluators' common signature.
     """
-    return _at_n_ports(_wdt_ehp_ports, ctx, quad)
-
-
-def _wdt_ehp_ports(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     _check_mu(ctx, "wdt_ehp_exact")
     _rayleigh_only(ctx, "wdt_ehp_exact")
     return [wdt_ehp_approx(ctx)] * len(ks)
@@ -570,18 +568,15 @@ def _idet_special_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
     return [float(w1 @ p @ w2) for p in _powers(inner, ks)]
 
 
-def idet_special_exact(ctx: KernelContext, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+@_at_n_ports
+def idet_special_exact(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     """Probability every port fails the SIR and the harvest test jointly."""
-    return _at_n_ports(_idet_special_ports, ctx, quad)
-
-
-def _idet_special_ports(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     _check_mu(ctx, "idet_special_exact")
     _rayleigh_only(ctx, "idet_special_exact")
     if ctx.q_hat == 0.0:
         return [0.0] * len(ks)
     if math.isinf(ctx.q_hat):
-        return _wdt_sinr_ports(ctx, quad, ks)
+        return wdt_sinr_exact.over_ports(ctx, quad, ks)
     return _with_richardson(_idet_special_raw, ctx, quad, "idet_special_exact", ks)
 
 

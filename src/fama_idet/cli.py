@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .specfun import SeriesConvergenceError, mu_from_w
+from .specfun import mu_from_w
 from .sweep import _write_atomic, compare, render, run_sweep, spec_from_config
 
 EXIT_OK = 0
@@ -130,9 +130,6 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SeriesConvergenceError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_VALIDATION
 
 

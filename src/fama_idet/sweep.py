@@ -118,6 +118,8 @@ class SweepSpec:
             raise ConfigError(f"sweep.axis {self.axis!r} is not a scenario field")
         if self.axis and not self.values:
             raise ConfigError("sweep.values must be nonempty")
+        if self.values and not self.axis:
+            raise ConfigError("sweep.values is set, but no sweep.axis to sweep them over")
         if not self.metrics:
             raise ConfigError("sweep.metrics must be nonempty")
         if self.trials < MIN_TRIALS and any(meth is Method.MC for _, meth in self.metrics):
@@ -193,13 +195,7 @@ _EXACT_RAYLEIGH = {
 
 # The same evaluators over a tuple of port counts, one result per K (a value
 # or the error that K's check raised), for a pass over several K.
-_EXACT_OVER_PORTS = {
-    Metric.WDT_SINR: analytic._wdt_sinr_ports,
-    Metric.WET_SINR: analytic._wet_sinr_ports,
-    Metric.WDT_EHP: analytic._wdt_ehp_ports,
-    Metric.WET_EHP: analytic._wet_ehp_ports,
-    Metric.IDET_SPECIAL: analytic._idet_special_ports,
-}
+_EXACT_OVER_PORTS = {m: fn.over_ports for m, fn in _EXACT_RAYLEIGH.items()}
 
 # One closed form per metric; each refuses Rician cells.
 _CLOSED_FORM = {
@@ -367,8 +363,9 @@ def _metadata(spec: SweepSpec) -> dict:
     return meta
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate every pass (optionally in parallel), then emit the rows."""
+def _cells(spec: SweepSpec, workers: int) -> list[tuple]:
+    """Evaluate every pass (optionally in parallel); (axis value, outcome map,
+    its pass's seconds per method) for each cell, in axis order."""
     if workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
     passes = _passes(spec)
@@ -378,8 +375,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             evaluated = [f.result() for f in futures]
     else:
         evaluated = [_run_pass(spec, key, values) for key, values in passes]
-    rows = [r for (_, values), (outcomes, seconds) in zip(passes, evaluated)
-            for value, cell in zip(values, outcomes)
+    return [(value, cell, seconds) for (_, values), (outcomes, seconds) in zip(passes, evaluated)
+            for value, cell in zip(values, outcomes)]
+
+
+def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
+    """Evaluate every pass (optionally in parallel), then emit the rows."""
+    rows = [r for value, cell, seconds in _cells(spec, workers)
             for r in _evaluate_cell(spec, value, cell, seconds)]
     result = SweepResult(rows, _metadata(spec))
     if spec.output_path:
@@ -450,21 +452,16 @@ def compare(spec: SweepSpec, workers: int = 1) -> list[CompareLine]:
               if (m, Method.MC) in spec.metrics and (m, Method.EXACT) in spec.metrics]
     if not paired:
         raise ConfigError("compare needs at least one metric with both MC and EXACT")
-    result = run_sweep(dataclasses.replace(spec, output_path=None), workers=workers)
-    by_key = {(r["axis"], r["metric"], r["method"]): r for r in result.rows}
     report = []
-    for value in (spec.values if spec.axis else [None]):
+    for value, cell, _ in _cells(spec, workers):
         axis_label = f"{value:.12g}" if spec.axis else ""
         for m in paired:
-            mc = by_key[(axis_label, m.value, "MC")]
-            ex = by_key[(axis_label, m.value, "EXACT")]
-            if mc["error"] or ex["error"]:
+            count, exact = cell[(m, Method.MC)], cell[(m, Method.EXACT)]
+            if isinstance(count, Exception) or isinstance(exact, Exception):
                 report.append(CompareLine(axis_label, m.value, math.nan, math.nan,
                                           math.nan, math.nan, False))
                 continue
-            mc_v, ex_v = float(mc["value"]), float(ex["value"])
-            trials = int(mc["trials"])
-            lo, hi = wilson_interval(round(mc_v * trials), trials, 3.0 * 1.96)
-            report.append(CompareLine(axis_label, m.value, mc_v, ex_v, lo, hi,
-                                      lo <= ex_v <= hi))
+            lo, hi = wilson_interval(count, spec.trials, 3.0 * 1.96)
+            report.append(CompareLine(axis_label, m.value, count / spec.trials, exact, lo, hi,
+                                      lo <= exact <= hi))
     return report

@@ -5,6 +5,8 @@ exact integrals; the full per-metric grid runs in the acceptance suite.
 """
 
 import dataclasses
+import functools
+import inspect
 import math
 import os
 import subprocess
@@ -419,6 +421,43 @@ class TestContext:
         assert wet_sinr_approx(ctx) == wet_ehp_approx(ctx) == 1.0
 
 
+class TestEvaluatorForms:
+    """Each EXACT evaluator is written once, over a tuple of port counts; the
+    public function runs it at ctx.n_ports and keeps it as .over_ports."""
+
+    @pytest.mark.parametrize("metric", list(EXACTS), ids=lambda m: m.value)
+    def test_public_signature_name_and_docstring(self, metric):
+        fn, name = EXACTS[metric], f"{metric.value.lower()}_exact"
+        params = inspect.signature(fn).parameters
+        assert list(params) == ["ctx", "quad"] and params["quad"].default is DEFAULT_QUAD
+        assert fn is getattr(analytic, name) and fn.__name__ == fn.__qualname__ == name
+        assert fn.__doc__ == fn.over_ports.__doc__ and fn.__doc__.startswith("Probability")
+        assert list(inspect.signature(fn.over_ports).parameters) == ["ctx", "quad", "ks"]
+
+    @pytest.mark.parametrize("fn", EXACTS.values(), ids=lambda fn: fn.__name__)
+    def test_single_k_is_the_port_form_to_the_bit(self, fn):
+        ctx = ctx_from(n_users=5, n_ports=200, fa_size=5.0, ehp_threshold=0.110)
+        got, = fn.over_ports(ctx, DEFAULT_QUAD, (ctx.n_ports,))
+        assert repr(fn(ctx)) == repr(got)
+
+    def test_q_hat_inf_route_survives_a_wrapped_wdt_sinr(self, monkeypatch):
+        # a tracer rebinds the public names to functools.wraps wrappers, which
+        # copy .over_ports; IDET_SPECIAL's q_hat = inf route reads it by name
+        ctx = ctx_from(n_users=3, n_ports=8, fa_size=2.0, ps_ratio=1.0)
+        ks = (1, 2, 8)
+        want = wdt_sinr_exact.over_ports(ctx, DEFAULT_QUAD, ks)
+        assert all(isinstance(v, float) for v in want)
+
+        @functools.wraps(wdt_sinr_exact)
+        def traced(*args, **kwargs):
+            return wdt_sinr_exact(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "wdt_sinr_exact", traced)
+        assert traced.over_ports is wdt_sinr_exact.over_ports
+        assert idet_special_exact.over_ports(ctx, DEFAULT_QUAD, ks) == want
+        assert idet_special_exact(ctx) == want[-1]
+
+
 class TestPinnedExact:
     """Pinned EXACT values at seven cells, the EXACT twin of TestPinnedStream.
 
@@ -619,10 +658,10 @@ class TestWetSinrSlabs:
         monkeypatch.setattr(channel, "_cpus", lambda: 2)
         ctx = ctx_from(**self.REF)
         ks = (2, 4, 8, 16, 64, 128, 200)
-        analytic._wet_sinr_ports(ctx, DEFAULT_QUAD, ks)  # node tables are cached
+        wet_sinr_exact.over_ports(ctx, DEFAULT_QUAD, ks)  # node tables are cached
         tracemalloc.start()
         try:
-            values = analytic._wet_sinr_ports(ctx, DEFAULT_QUAD, ks)
+            values = wet_sinr_exact.over_ports(ctx, DEFAULT_QUAD, ks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -503,6 +503,15 @@ class TestCompare:
         assert len(report) == 4  # two cells x two paired metrics
         assert all(line.passed for line in report)
 
+    def test_each_cell_judged_by_its_own_outcomes(self):
+        # two cells at one threshold share an axis label, but each draws its
+        # MC count from its own substream
+        spec = spec_from_config(BASE_CFG.replace("0 dB, 3 dB", "3 dB, 3 dB"), trials=2000)
+        mc = [float(r["value"]) for r in run_sweep(spec).rows
+              if r["metric"] == "WDT_SINR" and r["method"] == "MC"]
+        assert mc[0] != mc[1]
+        assert [line.mc for line in compare(spec) if line.metric == "WDT_SINR"] == mc
+
     def test_precondition_requires_pair(self):
         spec = spec_from_config(BASE_CFG.replace(
             "sweep.metrics = WDT_SINR:MC, WDT_SINR:EXACT, "
@@ -625,6 +634,18 @@ sweep.metrics = WET_EHP:MC, WET_EHP:EXACT, IDET_SPECIAL:MC, IDET_SPECIAL:EXACT
         assert err.startswith("error: ") and path in err
         assert not calls and not mc_calls
         assert sorted(os.listdir(tmp_path)) == ["dir", "run.cfg"]
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_values_without_axis_exit_1_before_any_pass(self, command, tmp_path, capsys,
+                                                         monkeypatch):
+        calls = _count_exact_calls(monkeypatch)
+        mc_calls = []
+        monkeypatch.setattr(sweep, "simulate_outage_counts",
+                            lambda *a, **kw: mc_calls.append(1))
+        cfg = write_cfg(tmp_path, BASE_CFG.replace("sweep.axis = sinr_threshold\n", ""))
+        assert main([command, cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: sweep.values is set")
+        assert not calls and not mc_calls
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_validation(self, workers, tmp_path, capsys, monkeypatch):
