@@ -183,6 +183,32 @@ class TestEdgeCases:
             err, = analytic._with_richardson(raw, ctx_from(**SMALL), quad, "probe", (2,))
             assert isinstance(err, QuadratureConvergenceError) and "probe" in str(err)
 
+    @pytest.mark.parametrize("check", [True, False])
+    def test_driver_range_check(self, check):
+        # a value further than tol = 10 rel_tol_target outside [0, 1] is
+        # refused, though both evaluations agree on it; one within tol is
+        # clamped into [0, 1]
+        quad = QuadratureSpec(richardson_check=check)
+        tol = 10.0 * quad.rel_tol_target
+
+        def driven(value):
+            nodes = []
+
+            def raw(ctx, ns, nf, ks):
+                nodes.append(ns)
+                return [value] * len(ks)
+
+            out, = analytic._with_richardson(raw, ctx_from(**SMALL), quad, "probe", (2,))
+            assert len(nodes) == (2 if check else 1)
+            return out
+
+        for bad in (1.5, -0.5):
+            err = driven(bad)
+            assert isinstance(err, QuadratureConvergenceError)
+            assert str(err) == f"probe: value {bad} outside [0, 1]"
+        assert driven(1.0 + 0.5 * tol) == 1.0
+        assert driven(-0.5 * tol) == 0.0
+
 
 class TestFieldsRead:
     """Which threshold each kernel reads: the WET outages are tested against

@@ -7,14 +7,15 @@ import os
 import stat
 import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from fama_idet import analytic, sweep
-from fama_idet.analytic import DEFAULT_QUAD, KernelContext, QuadratureConvergenceError
+from fama_idet.analytic import KernelContext, QuadratureConvergenceError
 from fama_idet.channel import SystemConfig
 from fama_idet.cli import main
-from fama_idet.montecarlo import Method, Metric, simulate_outage_counts
+from fama_idet.montecarlo import Method, Metric, simulate_outage_counts, wilson_interval
 from fama_idet.sweep import (
     ConfigError,
     SweepSpec,
@@ -46,16 +47,24 @@ def _with_metrics(metrics):
 
 
 def _count_exact_calls(monkeypatch, fail=None):
-    """Count the calls per EXACT evaluator, by the sweep's table or
-    by module attribute; `fail` raises instead."""
+    """Count the calls per EXACT evaluator, at one K (the sweep's table or
+    the module attribute) or over several (the sweep's table or the
+    attribute's .over_ports); `fail` raises instead."""
     calls = Counter()
-    for metric, fn in list(sweep._EXACT_RAYLEIGH.items()):
-        def counted(ctx, quad=DEFAULT_QUAD, fn=fn, metric=metric):
+
+    def counting(fn, metric):
+        def counted(*args):
             calls[metric] += 1
             if metric is fail:
                 raise QuadratureConvergenceError(f"{metric.value}: forced")
-            return fn(ctx, quad)
+            return fn(*args)
+        return counted
+
+    for metric, fn in list(sweep._EXACT_RAYLEIGH.items()):
+        counted = counting(fn, metric)
+        counted.over_ports = counting(fn.over_ports, metric)
         monkeypatch.setitem(sweep._EXACT_RAYLEIGH, metric, counted)
+        monkeypatch.setitem(sweep._EXACT_OVER_PORTS, metric, counted.over_ports)
         monkeypatch.setattr(analytic, fn.__name__, counted)
     return calls
 
@@ -206,6 +215,19 @@ class TestRunSweep:
         assert [r["error"] for r in rows] == [""] * 6
         assert not calls
 
+    def test_frechet_inconsistent_parts_refuse_idet_general(self, monkeypatch):
+        # IDET_SPECIAL may exceed min(WDT_SINR, WET_EHP) by 1e-6 at most; past
+        # that, IDET_GENERAL's row carries the addition law's refusal
+        for special, value, error in ((0.2 + 5e-7, "0.2999995", ""),
+                                      (0.2 + 2e-6, "NaN", "unsupported")):
+            parts = {Metric.WDT_SINR: 0.2, Metric.WET_EHP: 0.3, Metric.IDET_SPECIAL: special}
+            for m, v in parts.items():
+                monkeypatch.setitem(sweep._EXACT_RAYLEIGH, m, lambda ctx, v=v: v)
+            rows = run_sweep(spec_from_config(_with_metrics("IDET_GENERAL:EXACT"))).rows
+            assert rows == [{"axis": axis, "metric": "IDET_GENERAL", "method": "EXACT",
+                             "value": value, "ci": "", "trials": "", "seconds": "",
+                             "error": error} for axis in ("1", "1.99526231497")]
+
     def test_closed_forms_obey_frechet_bounds(self):
         rows = run_sweep(spec_from_config(REF_CLOSED_FORMS, require_axis=False)).rows
         v = {r["metric"]: float(r["value"]) for r in rows}
@@ -272,6 +294,14 @@ class TestNestedPortSweep:
             assert main(["sweep", cfg, "--workers", workers, "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_exact_call_counter_sees_the_port_pass(self, monkeypatch):
+        # the pass calls each EXACT evaluator once over all its K, through
+        # sweep._EXACT_OVER_PORTS; _count_exact_calls must see those calls
+        calls = _count_exact_calls(monkeypatch)
+        rows = run_sweep(spec_from_config(PORT_SWEEP_CFG, trials=2000)).rows
+        assert calls == {Metric.WDT_SINR: 1, Metric.WET_EHP: 1}
+        assert len(rows) == 4 * 8 and not any(r["error"] for r in rows)
 
     def test_max_based_counts_never_rise_with_k(self):
         rows = run_sweep(spec_from_config(PORT_SWEEP_CFG)).rows
@@ -512,6 +542,36 @@ class TestCompare:
         assert mc[0] != mc[1]
         assert [line.mc for line in compare(spec) if line.metric == "WDT_SINR"] == mc
 
+    def test_exact_between_the_interval_and_twice_its_z_fails(self, monkeypatch):
+        # the interval is the Wilson one at z = 3 * 1.96: an EXACT value
+        # inside it passes, one between it and the z = 6 * 1.96 bound fails;
+        # the first of the two cells is read
+        spec = spec_from_config(_with_metrics("WDT_SINR:MC, WDT_SINR:EXACT"), trials=2000)
+        line, _ = compare(spec)
+        count = round(line.mc * spec.trials)
+        lo, hi = wilson_interval(count, spec.trials, 3.0 * 1.96)
+        lo6, hi6 = wilson_interval(count, spec.trials, 6.0 * 1.96)
+        assert 0.0 < lo6 < lo < line.mc < hi < hi6 < 1.0
+        for exact, passed in ((0.5 * (lo6 + lo), False), (0.5 * (hi + hi6), False),
+                              (0.5 * (lo + line.mc), True), (0.5 * (line.mc + hi), True)):
+            monkeypatch.setitem(sweep._EXACT_RAYLEIGH, Metric.WDT_SINR, lambda ctx: exact)
+            got, _ = compare(spec)
+            assert got.passed is passed, exact
+            assert (got.mc, got.exact, got.lo, got.hi) == (line.mc, exact, lo, hi)
+
+    def test_refused_exact_fails_as_evaluation_error(self, tmp_path, capsys):
+        # WET_SINR has no Rician EXACT expression: compare reports the cell
+        # as an evaluation error and exits 2
+        cfg = write_cfg(tmp_path, """
+n_users = 2
+n_ports = 2
+fa_size = 1
+rician_k = 2
+sweep.metrics = WET_SINR:MC, WET_SINR:EXACT
+""")
+        assert main(["compare", cfg, "--trials", "2000"]) == 2
+        assert capsys.readouterr().out == "FAIL WET_SINR: evaluation error\n"
+
     def test_precondition_requires_pair(self):
         spec = spec_from_config(BASE_CFG.replace(
             "sweep.metrics = WDT_SINR:MC, WDT_SINR:EXACT, "
@@ -534,13 +594,13 @@ class TestCliEntry:
         o1, o8 = str(tmp_path / "w1.csv"), str(tmp_path / "w8.csv")
         assert main(["sweep", cfg, "--workers", "1", "--out", o1]) == 0
         assert main(["sweep", cfg, "--workers", "8", "--out", o8]) == 0
-        assert open(o1, "rb").read() == open(o8, "rb").read()
+        assert Path(o1).read_bytes() == Path(o8).read_bytes()
 
     def test_json_output_schema(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG)
         out = str(tmp_path / "r.json")
         assert main(["sweep", cfg, "--format", "json", "--out", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert set(doc) == {"metadata", "rows"}
         assert doc["metadata"]["config"]["sinr_threshold"] == "3 dB"
         for row in doc["rows"]:
@@ -678,6 +738,6 @@ sweep.metrics = WET_EHP:MC, WET_EHP:EXACT, IDET_SPECIAL:MC, IDET_SPECIAL:EXACT
         cfg = write_cfg(tmp_path, BASE_CFG)
         out = str(tmp_path / "t.csv")
         assert main(["sweep", cfg, "--timing", "--out", out]) == 0
-        lines = [l for l in open(out) if not l.startswith("#")]
+        lines = [l for l in Path(out).read_text().splitlines() if not l.startswith("#")]
         data = lines[1:]
         assert all(l.split(",")[6] != "" for l in data)

@@ -22,7 +22,6 @@ from fama_idet.specfun import (
     bessel_i_ln,
     marcum_q_outer,
     mu_from_w,
-    ncx2_pdf_outer,
 )
 
 # (order, a, b, Q_order(a, b)) from mpmath's Poisson-gamma representation
@@ -93,11 +92,13 @@ class TestMarcumQ:
             assert outer == pytest.approx(want, rel=1e-12)
 
     def test_series_cap_raises(self, monkeypatch):
-        # the Poisson window guard: with no tail mass allowed the window
-        # keeps growing and must stop at the term cap
-        monkeypatch.setattr(specfun, "_REL_TOL", 0.0)
-        monkeypatch.setattr(specfun, "_MAX_TERMS", 16)
-        with pytest.raises(SeriesConvergenceError):
+        # a^2/2 = 0.5 puts the Poisson window at k = 0..45: a cap of 46 terms
+        # admits it, and one of 45 refuses it, naming its width
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 46)
+        assert specfun._poisson_k_range(0.5, 0.5) == (0, 45)
+        marcum_q_outer(1, [1.0], [1.0])
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 45)
+        with pytest.raises(SeriesConvergenceError, match="needs 46 terms"):
             marcum_q_outer(1, [1.0], [1.0])
 
     def test_wide_window_hits_series_cap(self):
@@ -190,13 +191,80 @@ class TestNcx2Pdf:
         # it is off by up to 100% relative at some points
         lam = np.array([0.0, 0.5, 3.0, 20.0, 100.0, 400.0, 1500.0, 4000.0])
         x = np.concatenate([[0.0], np.linspace(0.01, 5600.0, 2999)])
-        got = ncx2_pdf_outer(m, lam, x)
+        got = specfun._ncx2_pdf_on(m, lam, x.min(), x.max())(x)
         assert got.shape == (8, 3000)
         want = self._bessel_form(m, lam[1:], x[1:])
         live = want > 1e-30
         assert np.max(np.abs(got[1:, 1:][live] - want[live]) / want[live]) <= 1e-11
         assert got[0] == pytest.approx(stats.chi2.pdf(x, 2 * m), rel=1e-12)
         assert np.all(got[:, 0] == 0.0)
+
+
+def _largest_admitted_lam():
+    """The largest Poisson mean, to 1e-3, whose window fits the term cap."""
+    lo, hi = 0.0, 1e6
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        try:
+            specfun._poisson_k_range(mid, mid)
+            lo = mid
+        except SeriesConvergenceError:
+            hi = mid
+    return lo
+
+
+class TestPoissonWindow:
+    """Every Poisson mixture sums the window lam +- (12 sqrt(lam + 1) + 30),
+    which leaves under 1e-30 of the mass out on either side, for each lam of
+    its span, at every lam the term cap admits."""
+
+    LAM_CAP = _largest_admitted_lam()
+    GRID = np.unique(np.concatenate([[0.0], np.geomspace(1e-6, LAM_CAP, 2000),
+                                     np.arange(0.25, 400.0, 0.25)]))
+
+    def test_cap_admits_lam_up_to_171526(self):
+        assert 171_525.0 < self.LAM_CAP < 171_527.0
+        k_lo, k_hi = specfun._poisson_k_range(self.LAM_CAP, self.LAM_CAP)
+        assert k_hi - k_lo + 1 == specfun._MAX_TERMS
+        with pytest.raises(SeriesConvergenceError, match="10001 terms"):
+            specfun._poisson_k_range(self.LAM_CAP + 0.01, self.LAM_CAP + 0.01)
+
+    @staticmethod
+    def _tails(lo, hi, lam):
+        """P(K < k_lo) and P(K > k_hi) at each lam, on the windows of the
+        spans [lo, hi]."""
+        windows = np.array([specfun._poisson_k_range(a, b) for a, b in zip(lo, hi)], dtype=float)
+        k_lo, k_hi = windows.T
+        lower = np.where(k_lo > 0, sp.gammaincc(np.maximum(k_lo, 1.0), lam), 0.0)
+        return lower, sp.gammainc(k_hi + 1.0, lam)
+
+    def test_tails_below_1e_30(self):
+        lower, upper = self._tails(self.GRID, self.GRID, self.GRID)
+        assert lower.max() < 1e-30 and upper.max() < 1e-30
+        # the lower tail is live: the window starts above 0 from lam = 202 up
+        assert np.count_nonzero(lower) > 1000
+
+    def test_span_window_covers_each_lam_of_the_span(self):
+        # midway between neighbours (spans at the cap's end would pass it)
+        grid = self.GRID[self.GRID < 1e4]
+        lower, upper = self._tails(grid[:-1], grid[1:], 0.5 * (grid[:-1] + grid[1:]))
+        assert lower.max() < 1e-30 and upper.max() < 1e-30
+
+    @pytest.mark.parametrize("m", [2, 4, 7])
+    def test_pdf_terms_outside_window_below_1e_30(self, m):
+        # _ncx2_pdf_on's terms pois(k; alpha) pois(m - 1 + k; y) peak near
+        # k = sqrt(alpha y), on whose window they are summed; their sum over
+        # every k comes from the log-terms directly
+        for lam_g in np.geomspace(1e-3, self.LAM_CAP, 40):
+            for ratio in (1e-4, 1.0, 1e4):
+                alpha, y = lam_g * math.sqrt(ratio), lam_g / math.sqrt(ratio)
+                k = np.arange(int(lam_g + 40.0 * math.sqrt(lam_g + 1.0) + 200.0), dtype=float)
+                log_terms = (k * math.log(alpha) - sp.gammaln(k + 1.0)
+                             + (m - 1 + k) * math.log(y) - sp.gammaln(m + k))
+                k_lo, k_hi = specfun._poisson_k_range(lam_g, lam_g)
+                outside = np.concatenate([log_terms[:k_lo], log_terms[k_hi + 1:]])
+                assert sp.logsumexp(outside) - sp.logsumexp(log_terms) < math.log(1e-30), (
+                    lam_g, ratio)
 
 
 class TestFlushedExp:
