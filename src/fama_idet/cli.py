@@ -1,9 +1,8 @@
 """Command-line batch runner: sweeps, cross-validation, single-cell eval.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure.
-A sweep runs as passes, one per cell, except that an n_ports sweep is one
-pass over all its K values.  Passes run on `--workers` processes (default
-1), so `--workers` has no effect on an n_ports sweep.
+Every sweep runs in this process; `--workers` must be at least 1 and
+changes no output.
 """
 
 from __future__ import annotations
@@ -35,13 +34,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, help="MC trials per cell (override)")
         p.add_argument("--seed", type=int, help="MC seed (override)")
         p.add_argument("--workers", type=int, default=1,
-                       help="processes that run the sweep's passes, one pass per cell "
-                            "(default: 1); no effect on an n_ports sweep, which is one pass")
+                       help="accepted, at least 1, and changes nothing (default: 1)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--timing", action="store_true",
                        help="fill the seconds column: each row carries its method's "
-                            "total over the row's pass (output then differs by run)")
+                            "total over the row's pass, where an EXACT value an earlier "
+                            "pass made costs nothing (output then differs by run)")
 
     add_common(sub.add_parser("sweep", help="run the configured parameter sweep"))
     add_common(sub.add_parser("compare", help="validate MC against EXACT per cell"))
@@ -75,8 +74,11 @@ def _writing_out(path: str | None):
 def _load_spec(args, require_axis: bool):
     if args.out:
         _check_out(args.out)
-    with open(args.config, "r") as fh:
-        text = fh.read()
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{args.config}: {getattr(exc, 'strerror', None) or exc}") from exc
     return spec_from_config(text, trials=args.trials, seed=args.seed, fmt=args.format,
                             out=args.out, require_axis=require_axis, timing=args.timing)
 
@@ -94,10 +96,8 @@ def _cmd_compare(args) -> int:
     spec = _load_spec(args, require_axis=False)
     report = compare(spec, workers=args.workers)
     lines = []
-    all_pass = True
     for line in report:
         status = "PASS" if line.passed else "FAIL"
-        all_pass &= line.passed
         cell = f"axis={line.axis} " if line.axis else ""
         if math.isnan(line.mc):
             lines.append(f"{status} {cell}{line.metric}: evaluation error")
@@ -112,7 +112,7 @@ def _cmd_compare(args) -> int:
             _write_atomic(text, args.out)
     else:
         sys.stdout.write(text)
-    return EXIT_OK if all_pass else EXIT_NUMERICAL
+    return EXIT_OK if all(line.passed for line in report) else EXIT_NUMERICAL
 
 
 def main(argv=None) -> int:
@@ -121,16 +121,12 @@ def main(argv=None) -> int:
         if args.command == "mu":
             print(f"{mu_from_w(args.w):.12g}")
             return EXIT_OK
-        if args.command == "sweep":
-            return _cmd_sweep(args, require_axis=True)
-        if args.command == "eval":
-            return _cmd_sweep(args, require_axis=False)
         if args.command == "compare":
             return _cmd_compare(args)
-    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
+        return _cmd_sweep(args, require_axis=args.command == "sweep")   # or eval
+    except ValueError as exc:   # ConfigError, and every OSError of a file read or write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -2,12 +2,14 @@
 
 Configs are flat ``key = value`` text with typed suffixes (dB, mW, W);
 sweeps replace one SystemConfig field per cell (an fa_size cell derives its
-mu from its W).  A sweep runs as passes: one over all the K of an n_ports
-axis, else one per cell.  A pass makes one MC simulation at its largest K,
-one EXACT evaluator call per metric and each cell's closed forms, and gives
-each cell a map of outcomes for its rows.  MC substreams are keyed by (seed,
-pass key, block), the key being the cell index or 0 for an n_ports pass, so
-results do not depend on the `workers` processes that run the passes.
+mu from its W).  A sweep runs as passes in the calling process: one over all
+the K of an n_ports axis, else one per cell.  A pass makes one MC simulation
+at its largest K and each cell's closed forms, and gives each cell a map of
+outcomes for its rows.  Its EXACT metrics come from one evaluator call per
+distinct kernel input over the whole sweep, so a gamma sweep runs WET_SINR
+once.  MC substreams are keyed by (seed, pass key, block), the key being the
+cell index or 0 for an n_ports pass, so no result depends on the threads
+that run the MC blocks and WET_SINR slabs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import os
 import stat
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import analytic
@@ -197,6 +198,13 @@ _EXACT_RAYLEIGH = {
 # or the error that K's check raised), for a pass over several K.
 _EXACT_OVER_PORTS = {m: fn.over_ports for m, fn in _EXACT_RAYLEIGH.items()}
 
+# The KernelContext thresholds each evaluator reads besides mu, n_users and
+# rician_k; with the K tuple they key a sweep's EXACT outcomes, so a threshold
+# left out must not move a bit of the value (TestExactMemo checks each).
+_EXACT_READS = {Metric.WDT_SINR: ("gamma_th",), Metric.WET_SINR: ("q_hat",),
+                Metric.WDT_EHP: ("gamma_th",), Metric.WET_EHP: ("q_hat",),
+                Metric.IDET_SPECIAL: ("gamma_th", "q_hat")}
+
 # One closed form per metric; each refuses Rician cells.
 _CLOSED_FORM = {
     Metric.WDT_SINR: lambda ctx: analytic.wdt_sinr_approx(ctx).theorem,
@@ -228,14 +236,22 @@ def _passes(spec: SweepSpec) -> list[tuple[int, list]]:
     return [(i, [v]) for i, v in enumerate(values)]
 
 
-def _exact(cfg: SystemConfig, ks: list, m: Metric) -> list:
-    """m's EXACT outcome at each K of ks, from one evaluator call at cfg."""
+def _exact(cfg: SystemConfig, ks: list, m: Metric, memo: dict) -> list:
+    """m's EXACT outcome at each K of ks, from one evaluator call per distinct
+    kernel input: `memo` keeps each input's outcomes, a refusal included."""
     try:
         ctx = KernelContext.from_config(cfg)
-        return ([_EXACT_RAYLEIGH[m](ctx)] if len(ks) == 1
-                else _EXACT_OVER_PORTS[m](ctx, DEFAULT_QUAD, tuple(ks)))
-    except Exception as exc:    # a guard refuses every K alike
+    except ValueError as exc:   # no kernel input to key on (q_hat at mu = 1)
         return [exc] * len(ks)
+    key = (m, tuple(ks), ctx.mu, ctx.n_users, ctx.rician_k,
+           *(getattr(ctx, f) for f in _EXACT_READS[m]))
+    if key not in memo:
+        try:
+            memo[key] = ([_EXACT_RAYLEIGH[m](ctx)] if len(ks) == 1
+                         else _EXACT_OVER_PORTS[m](ctx, DEFAULT_QUAD, tuple(ks)))
+        except Exception as exc:    # a guard refuses every K alike
+            memo[key] = [exc] * len(ks)
+    return memo[key]
 
 
 def _closed_form(cfg: SystemConfig, m: Metric):
@@ -281,11 +297,12 @@ def _store(outcomes: list, method: Method, metrics: list, evaluate) -> None:
             out[(m, method)] = _idet_general(out, method)
 
 
-def _run_pass(spec: SweepSpec, key: int, values: list) -> tuple[list, dict]:
+def _run_pass(spec: SweepSpec, key: int, values: list, memo: dict) -> tuple[list, dict]:
     """One pass over the cells of `values`: per cell, a map from (metric,
     method) to a count, a value or the exception raised; and each method's
-    seconds over the pass.  MC runs once, EXACT once per metric, at the
-    largest K; the closed forms run at each cell's own K."""
+    seconds over the pass.  MC runs once and EXACT once per metric at the
+    largest K (unless the sweep's `memo` holds it); the closed forms at each
+    cell's K."""
     cfgs = [spec.cell_config(v) for v in values]
     ks = [cfg.n_ports for cfg in cfgs]
     top = max(cfgs, key=lambda cfg: cfg.n_ports)
@@ -305,7 +322,7 @@ def _run_pass(spec: SweepSpec, key: int, values: list) -> tuple[list, dict]:
                 for out in outcomes:
                     out.update({(m, method): exc for m in metrics})
         elif method is Method.EXACT:
-            _store(outcomes, method, metrics, lambda m: _exact(top, ks, m))
+            _store(outcomes, method, metrics, lambda m: _exact(top, ks, m, memo))
         else:
             _store(outcomes, method, metrics, lambda m: [_closed_form(cfg, m) for cfg in cfgs])
         seconds[method] = time.perf_counter() - t0
@@ -324,22 +341,13 @@ def _evaluate_cell(spec: SweepSpec, value, outcomes: dict, seconds: dict) -> lis
         elif meth is Method.MC:
             lo, hi = wilson_interval(v, spec.trials)
             v, ci = v / spec.trials, 0.5 * (hi - lo)
-        rows.append(_row(axis_label, m, meth, v, ci, spec.trials if meth is Method.MC else None,
-                         seconds[meth] if spec.timing else None, err))
+        rows.append({"axis": axis_label, "metric": m.value, "method": meth.value,
+                     "value": "NaN" if math.isnan(v) else f"{v:.12g}",
+                     "ci": "" if ci is None else f"{ci:.12g}",
+                     "trials": str(spec.trials) if meth is Method.MC else "",
+                     "seconds": f"{seconds[meth]:.3f}" if spec.timing else "",
+                     "error": err})
     return rows
-
-
-def _row(axis, metric, method, value, ci, trials, seconds, error):
-    return {
-        "axis": axis,
-        "metric": metric.value,
-        "method": method.value,
-        "value": "NaN" if math.isnan(value) else f"{value:.12g}",
-        "ci": "" if ci is None else f"{ci:.12g}",
-        "trials": "" if trials is None else str(trials),
-        "seconds": "" if seconds is None else f"{seconds:.3f}",
-        "error": error,
-    }
 
 
 @dataclass
@@ -364,23 +372,19 @@ def _metadata(spec: SweepSpec) -> dict:
 
 
 def _cells(spec: SweepSpec, workers: int) -> list[tuple]:
-    """Evaluate every pass (optionally in parallel); (axis value, outcome map,
-    its pass's seconds per method) for each cell, in axis order."""
+    """Evaluate every pass, sharing one EXACT memo; (axis value, outcome map,
+    its pass's seconds per method) for each cell, in axis order.  `workers`
+    is only checked: every pass runs in the calling process."""
     if workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
-    passes = _passes(spec)
-    if workers > 1 and len(passes) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_pass, spec, key, values) for key, values in passes]
-            evaluated = [f.result() for f in futures]
-    else:
-        evaluated = [_run_pass(spec, key, values) for key, values in passes]
-    return [(value, cell, seconds) for (_, values), (outcomes, seconds) in zip(passes, evaluated)
+    memo = {}
+    return [(value, cell, seconds) for key, values in _passes(spec)
+            for outcomes, seconds in [_run_pass(spec, key, values, memo)]
             for value, cell in zip(values, outcomes)]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate every pass (optionally in parallel), then emit the rows."""
+    """Evaluate every pass, then emit the rows; `workers` changes no byte."""
     rows = [r for value, cell, seconds in _cells(spec, workers)
             for r in _evaluate_cell(spec, value, cell, seconds)]
     result = SweepResult(rows, _metadata(spec))

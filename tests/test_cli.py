@@ -5,14 +5,16 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from fama_idet import analytic, sweep
-from fama_idet.analytic import KernelContext, QuadratureConvergenceError
+from fama_idet import analytic, channel, sweep
+from fama_idet.analytic import DEFAULT_QUAD, KernelContext, QuadratureConvergenceError
 from fama_idet.channel import SystemConfig
 from fama_idet.cli import main
 from fama_idet.montecarlo import Method, Metric, simulate_outage_counts, wilson_interval
@@ -22,6 +24,7 @@ from fama_idet.sweep import (
     _convert,
     compare,
     parse_config,
+    render,
     run_sweep,
     spec_from_config,
 )
@@ -185,9 +188,9 @@ class TestRunSweep:
         parts = "WDT_SINR:EXACT, WET_EHP:EXACT, IDET_SPECIAL:EXACT"
         joint = run_sweep(spec_from_config(_with_metrics(
             f"IDET_GENERAL:EXACT, {parts}"))).rows
-        # two cells, each part evaluated once though IDET_GENERAL needs all three
-        assert calls == {m: 2 for m in (Metric.WDT_SINR, Metric.WET_EHP,
-                                        Metric.IDET_SPECIAL)}
+        # each part evaluated once per distinct input though IDET_GENERAL needs
+        # all three: WET_EHP reads no gamma, so the two cells share one call
+        assert calls == {Metric.WDT_SINR: 2, Metric.WET_EHP: 1, Metric.IDET_SPECIAL: 2}
         alone = [run_sweep(spec_from_config(_with_metrics(m))).rows
                  for m in ["IDET_GENERAL:EXACT", *parts.split(", ")]]
         assert joint == [rows[cell] for cell in range(2) for rows in alone]
@@ -197,8 +200,9 @@ class TestRunSweep:
         rows = run_sweep(spec_from_config(_with_metrics(
             "WET_EHP:EXACT, IDET_GENERAL:EXACT, WDT_SINR:EXACT"))).rows
         assert [r["error"] for r in rows] == ["convergence", "convergence", ""] * 2
-        # a failure is kept too: IDET_GENERAL reads the part's stored error
-        assert calls[Metric.WET_EHP] == 2
+        # a failure is kept too: IDET_GENERAL reads the part's stored error,
+        # and the second cell the first one's (WET_EHP reads no gamma)
+        assert calls[Metric.WET_EHP] == 1
         assert calls[Metric.WDT_SINR] == 2
 
     def test_rician_idet_general_stops_at_special(self, monkeypatch):
@@ -285,6 +289,67 @@ class TestRunSweep:
         assert result.metadata["rician_power_normalization"] == "2/(2+kappa)"
 
 
+class TestExactMemo:
+    """A sweep evaluates each EXACT metric once per distinct kernel input: the
+    K tuple, mu, n_users, rician_k and the thresholds sweep._EXACT_READS
+    declares for the metric."""
+
+    GAMMA = _with_metrics(", ".join(f"{m.value}:EXACT" for m in Metric)).replace(
+        "0 dB, 3 dB", "-3 dB, 0 dB, 3 dB, 6 dB, 9 dB, 12 dB, 15 dB")
+    THRESHOLDS = sorted({f.name for f in dataclasses.fields(KernelContext)}
+                        - {"mu", "n_users", "n_ports", "rician_k"})
+
+    @pytest.mark.parametrize("field", THRESHOLDS)
+    @pytest.mark.parametrize("metric", list(sweep._EXACT_RAYLEIGH), ids=lambda m: m.value)
+    def test_declared_fields_are_the_fields_read(self, metric, field):
+        # a declared threshold moves the value at this cell; an undeclared one
+        # leaves every K's value unchanged to the bit
+        base = KernelContext(mu=0.5, gamma_th=2.0, q_hat=5.0, n_users=3, n_ports=4)
+        moved = dataclasses.replace(base, **{field: 2.0 * getattr(base, field)})
+        got = [sweep._EXACT_OVER_PORTS[metric](ctx, DEFAULT_QUAD, (1, 4)) for ctx in (base, moved)]
+        assert all(0.0 < v < 1.0 for v in got[0] + got[1]), got
+        assert (repr(got[0]) == repr(got[1])) is (field not in sweep._EXACT_READS[metric])
+
+    def test_gamma_sweep_runs_the_wet_metrics_once(self, monkeypatch):
+        calls = _count_exact_calls(monkeypatch)
+        spec = spec_from_config(self.GAMMA)
+        rows = run_sweep(spec).rows
+        assert calls == {Metric.WET_SINR: 1, Metric.WET_EHP: 1, Metric.WDT_SINR: 7,
+                         Metric.WDT_EHP: 7, Metric.IDET_SPECIAL: 7}
+        # a reused value is the one the cell computes alone, to the bit
+        for i in (0, 6):
+            alone = run_sweep(dataclasses.replace(spec, values=[spec.values[i]])).rows
+            assert rows[6 * i:6 * i + 6] == alone
+
+    def test_ps_ratio_sweep_runs_wdt_sinr_once(self, monkeypatch):
+        calls = _count_exact_calls(monkeypatch)
+        rows = run_sweep(spec_from_config(_with_metrics("WDT_SINR:EXACT, WET_EHP:EXACT").replace(
+            "sweep.axis = sinr_threshold", "sweep.axis = ps_ratio").replace(
+            "0 dB, 3 dB", "0.2, 0.5, 0.8"))).rows
+        assert calls == {Metric.WDT_SINR: 1, Metric.WET_EHP: 3}
+        for metric, distinct in (("WDT_SINR", 1), ("WET_EHP", 3)):
+            assert len({r["value"] for r in rows if r["metric"] == metric}) == distinct
+
+    def test_refusal_runs_once_per_input(self, monkeypatch):
+        # WET_SINR has no Rician expression: one refusal serves every gamma
+        calls = _count_exact_calls(monkeypatch)
+        rows = run_sweep(spec_from_config(self.GAMMA.replace(
+            ", ".join(f"{m.value}:EXACT" for m in Metric), "WET_SINR:EXACT, WDT_SINR:EXACT")
+            + "rician_k = 2\n")).rows
+        assert calls == {Metric.WET_SINR: 1, Metric.WDT_SINR: 7}
+        assert [r["error"] for r in rows] == ["unsupported", ""] * 7
+
+    def test_each_call_evaluates_afresh(self, monkeypatch):
+        calls = _count_exact_calls(monkeypatch)
+        spec = spec_from_config(BASE_CFG, trials=2000)
+        first = run_sweep(spec).rows
+        assert calls == {Metric.WDT_SINR: 2, Metric.WET_EHP: 1}
+        assert run_sweep(spec).rows == first
+        assert calls == {Metric.WDT_SINR: 4, Metric.WET_EHP: 2}
+        compare(spec)
+        assert calls == {Metric.WDT_SINR: 6, Metric.WET_EHP: 3}
+
+
 class TestNestedPortSweep:
     def test_bytes_match_across_workers_and_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, PORT_SWEEP_CFG)
@@ -363,7 +428,7 @@ class TestExactPortPass:
 
     def test_rows_match_per_cell_evaluators(self):
         spec = spec_from_config(EXACT_PORT_CFG)
-        outcomes, _ = sweep._run_pass(spec, 0, spec.values)
+        outcomes, _ = sweep._run_pass(spec, 0, spec.values, {})
         for v, got in zip(spec.values, outcomes):
             ctx = KernelContext.from_config(spec.cell_config(v))
             direct = {m: fn(ctx) for m, fn in sweep._EXACT_RAYLEIGH.items()}
@@ -401,22 +466,21 @@ class TestExactPortPass:
         for r in rows:
             assert r["error"] == ("unsupported" if Metric(r["metric"]) in refused else ""), r
 
-    def test_starts_no_pool(self, tmp_path, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
-        cfg = write_cfg(tmp_path, PORT_SWEEP_CFG.replace(
-            "WET_EHP:EXACT", "WET_EHP:EXACT, IDET_GENERAL:EXACT, WET_EHP:CLOSED_FORM"))
-        outputs = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"w{workers}.csv"
-            assert main(["sweep", cfg, "--workers", workers, "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-        # the patch does bite: another axis still runs its passes on a pool
-        with pytest.raises(AssertionError, match="pool"):
-            run_sweep(spec_from_config(BASE_CFG), workers=2)
+    def test_starts_no_pool(self, tmp_path):
+        # a gamma sweep of two passes at --workers 2 runs them in the calling
+        # process, which never loads the process-pool modules
+        cfg, out = write_cfg(tmp_path, BASE_CFG), str(tmp_path / "out.csv")
+        src = str(Path(sweep.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys; from fama_idet.cli import main; "
+                f"rc = main(['sweep', {cfg!r}, '--workers', '2', '--out', {out!r}]); "
+                "print(rc, [m for m in ('multiprocessing', 'concurrent.futures.process') "
+                "if m in sys.modules])")
+        got = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert got.strip() == "0 []"
+        assert "\n1.99526231497,WDT_SINR,EXACT," in Path(out).read_text()
 
     def test_timing_gives_exact_rows_the_pass_total(self):
         spec = dataclasses.replace(spec_from_config(EXACT_PORT_CFG.replace(
@@ -461,6 +525,34 @@ sweep.metrics = WDT_SINR:EXACT, WET_EHP:EXACT
         # a base whose mu is derived from its own W is no override
         SweepSpec(base=SystemConfig(n_users=3, n_ports=8, fa_size=2.0), axis="fa_size",
                   values=[1.0, 2.0], metrics=[(Metric.WDT_SINR, Method.EXACT)])
+
+
+class TestThreadCounts:
+    """Sweep bytes do not depend on the threads that run the MC blocks and
+    the WET_SINR slabs (criterion 8's --workers counts start none)."""
+
+    GAMMA = """
+n_users = 3
+n_ports = 16
+fa_size = 2
+ehp_threshold = 30 mW
+trials = 20000
+seed = 7
+sweep.axis = sinr_threshold
+sweep.values = 0 dB, 3 dB, 6 dB
+sweep.metrics = """ + ", ".join(f"{m.value}:{meth.value}" for m in Metric for meth in Method)
+    FA_SIZE = TestFaSizeSweep.CFG.replace(
+        "sweep.metrics = WDT_SINR:EXACT, WET_EHP:EXACT",
+        "trials = 20000\nseed = 7\nsweep.metrics = " + ", ".join(
+            f"{m.value}:{meth.value}" for m in Metric for meth in (Method.MC, Method.EXACT)))
+
+    @pytest.mark.parametrize("text", [GAMMA, FA_SIZE], ids=["gamma", "fa_size"])
+    def test_bytes_match_across_cpu_counts(self, text, monkeypatch):
+        outputs = set()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(channel, "_cpus", lambda cpus=cpus: cpus)
+            outputs.add(render(run_sweep(spec_from_config(text)), "csv"))
+        assert len(outputs) == 1
 
 
 class TestNonFiniteInput:
@@ -662,6 +754,19 @@ sweep.metrics = WET_EHP:MC, WET_EHP:EXACT, IDET_SPECIAL:MC, IDET_SPECIAL:EXACT
         assert main(["compare", cfg]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 2 and "MC=0 " in out
+
+    @pytest.mark.parametrize("command", ["sweep", "eval", "compare"])
+    @pytest.mark.parametrize("kind", ["directory", "non-utf-8"])
+    def test_unreadable_config_exits_1_naming_it(self, command, kind, tmp_path, capsys):
+        if kind == "directory":
+            path, reason = str(tmp_path), "Is a directory"
+        else:
+            path = str(tmp_path / "latin1.cfg")
+            Path(path).write_bytes("# at 30 \u00b0C\nn_users = 3\n".encode("latin-1"))
+            reason = "'utf-8' codec can't decode byte 0xb0"
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {path}: {reason}")
 
     def test_validation_exit_code(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, "sweep.values =\n", name="bad.cfg")
