@@ -3,13 +3,14 @@
 Configs are flat ``key = value`` text with typed suffixes (dB, mW, W);
 sweeps replace one SystemConfig field per cell (an fa_size cell derives its
 mu from its W).  A sweep runs as passes in the calling process: one over all
-the K of an n_ports axis, else one per cell.  A pass makes one MC simulation
-at its largest K and each cell's closed forms, and gives each cell a map of
-outcomes for its rows.  Its EXACT metrics come from one evaluator call per
+the K of an n_ports axis, else one per cell.  Each method maps a metric to
+one outcome per cell: MC counts all six in one simulation at the largest K;
+the closed forms run at each cell's K; EXACT makes one evaluator call per
 distinct kernel input over the whole sweep, so a gamma sweep runs WET_SINR
-once.  MC substreams are keyed by (seed, pass key, block), the key being the
-cell index or 0 for an n_ports pass, so no result depends on the threads
-that run the MC blocks and WET_SINR slabs.
+once.  The last two compose IDET_GENERAL from its parts by the addition law.
+MC substreams are keyed by (seed, pass key, block), the key being the cell
+index or 0 for an n_ports pass, so no result depends on the threads that
+run the MC blocks and WET_SINR slabs.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class SweepSpec:
         if not self.axis:
             return self.base
         if self.axis in _INT_FIELDS:
-            if float(value) != int(value):
+            if not float(value).is_integer():   # inf and nan included
                 raise ConfigError(f"{self.axis} value {value} is not an integer")
             value = int(value)
         derive_mu = {"mu": None} if self.axis == "fa_size" else {}  # from the cell's own W
@@ -184,8 +185,9 @@ def spec_from_config(
 
 # One exact evaluator per metric, for Rayleigh and Rician cells alike; each
 # reads ctx.rician_k and refuses it where it has no Rician expression.  A pass
-# at one K reads this table, not _EXACT_OVER_PORTS (their values are equal to
-# the bit), only because bench/tracing.py rebinds this table by name.
+# over several K calls each evaluator's .over_ports.  A pass at one K calls
+# the evaluator itself, though the values are equal to the bit, only because
+# bench/tracing.py rebinds this table by name.
 _EXACT_RAYLEIGH = {
     Metric.WDT_SINR: analytic.wdt_sinr_exact,
     Metric.WET_SINR: analytic.wet_sinr_exact,
@@ -194,10 +196,6 @@ _EXACT_RAYLEIGH = {
     Metric.IDET_SPECIAL: analytic.idet_special_exact,
 }
 
-# The same evaluators over a tuple of port counts, one result per K (a value
-# or the error that K's check raised), for a pass over several K.
-_EXACT_OVER_PORTS = {m: fn.over_ports for m, fn in _EXACT_RAYLEIGH.items()}
-
 # The KernelContext thresholds each evaluator reads besides mu, n_users and
 # rician_k; with the K tuple they key a sweep's EXACT outcomes, so a threshold
 # left out must not move a bit of the value (TestExactMemo checks each).
@@ -205,17 +203,19 @@ _EXACT_READS = {Metric.WDT_SINR: ("gamma_th",), Metric.WET_SINR: ("q_hat",),
                 Metric.WDT_EHP: ("gamma_th",), Metric.WET_EHP: ("q_hat",),
                 Metric.IDET_SPECIAL: ("gamma_th", "q_hat")}
 
-# One closed form per metric; each refuses Rician cells.
+# IDET_GENERAL's parts, in the order it is composed from them
+_IDET_PARTS = (Metric.IDET_SPECIAL, Metric.WDT_SINR, Metric.WET_EHP)
+
+# One closed form per metric; each refuses Rician cells.  IDET_GENERAL's is
+# the addition law over its parts' closed forms, the first refusal raised.
 _CLOSED_FORM = {
     Metric.WDT_SINR: lambda ctx: analytic.wdt_sinr_approx(ctx).theorem,
     Metric.WET_SINR: analytic.wet_sinr_approx,
     Metric.WDT_EHP: analytic.wdt_ehp_approx,
     Metric.WET_EHP: analytic.wet_ehp_approx,
     Metric.IDET_SPECIAL: analytic.idet_special_approx,
+    Metric.IDET_GENERAL: lambda ctx: _idet_general(*(_CLOSED_FORM[m](ctx) for m in _IDET_PARTS)),
 }
-
-# IDET_GENERAL's parts, in the order it is composed from them
-_IDET_PARTS = (Metric.IDET_SPECIAL, Metric.WDT_SINR, Metric.WET_EHP)
 
 
 def _error_kind(exc: Exception) -> str:
@@ -236,9 +236,30 @@ def _passes(spec: SweepSpec) -> list[tuple[int, list]]:
     return [(i, [v]) for i, v in enumerate(values)]
 
 
+def _idet_general(special, wdt, wet):
+    """IDET_GENERAL from its parts' outcomes at one cell: the first part's
+    error, or else the addition law's value (or its refusal)."""
+    for part in (special, wdt, wet):
+        if isinstance(part, Exception):
+            return part
+    try:
+        return analytic.idet_general(wdt, wet, special)
+    except ValueError as exc:
+        return exc
+
+
 def _exact(cfg: SystemConfig, ks: list, m: Metric, memo: dict) -> list:
     """m's EXACT outcome at each K of ks, from one evaluator call per distinct
-    kernel input: `memo` keeps each input's outcomes, a refusal included."""
+    kernel input: `memo` keeps each input's outcomes, a refusal included.
+    IDET_GENERAL evaluates its parts in order until one fails at every K, so
+    a Rician cell stops at IDET_SPECIAL."""
+    if m is Metric.IDET_GENERAL:
+        parts = []
+        for part in _IDET_PARTS:
+            parts.append(_exact(cfg, ks, part, memo))
+            if all(isinstance(v, Exception) for v in parts[-1]):
+                return parts[-1]
+        return [_idet_general(*at_k) for at_k in zip(*parts)]
     try:
         ctx = KernelContext.from_config(cfg)
     except ValueError as exc:   # no kernel input to key on (q_hat at mu = 1)
@@ -248,7 +269,7 @@ def _exact(cfg: SystemConfig, ks: list, m: Metric, memo: dict) -> list:
     if key not in memo:
         try:
             memo[key] = ([_EXACT_RAYLEIGH[m](ctx)] if len(ks) == 1
-                         else _EXACT_OVER_PORTS[m](ctx, DEFAULT_QUAD, tuple(ks)))
+                         else _EXACT_RAYLEIGH[m].over_ports(ctx, DEFAULT_QUAD, tuple(ks)))
         except Exception as exc:    # a guard refuses every K alike
             memo[key] = [exc] * len(ks)
     return memo[key]
@@ -259,42 +280,6 @@ def _closed_form(cfg: SystemConfig, m: Metric):
         return _CLOSED_FORM[m](KernelContext.from_config(cfg))
     except Exception as exc:
         return exc
-
-
-def _idet_general(outcomes: dict, method: Method):
-    """IDET_GENERAL by `method` from one cell's stored parts: the error of
-    the first part that raised, or else the addition law (or its error)."""
-    special, wdt, wet = parts = [outcomes.get((m, method)) for m in _IDET_PARTS]
-    for part in parts:
-        if isinstance(part, Exception):
-            return part     # the parts after it may not have been evaluated
-    try:
-        return analytic.idet_general(wdt, wet, special)
-    except ValueError as exc:
-        return exc
-
-
-def _store(outcomes: list, method: Method, metrics: list, evaluate) -> None:
-    """Store `metrics` by `method` in every cell's outcomes, where evaluate(m)
-    gives m's outcome per cell.  Each part is evaluated at most once, failed
-    or not.  IDET_GENERAL evaluates its parts in order until one fails in
-    every cell, so a Rician cell stops at IDET_SPECIAL."""
-    def store(m: Metric) -> bool:
-        """Store m unless it is stored; True if it failed in every cell."""
-        if (m, method) not in outcomes[0]:
-            for out, v in zip(outcomes, evaluate(m)):
-                out[(m, method)] = v
-        return all(isinstance(out[(m, method)], Exception) for out in outcomes)
-
-    for m in metrics:
-        if m is not Metric.IDET_GENERAL:
-            store(m)
-            continue
-        for part in _IDET_PARTS:
-            if store(part):
-                break
-        for out in outcomes:
-            out[(m, method)] = _idet_general(out, method)
 
 
 def _run_pass(spec: SweepSpec, key: int, values: list, memo: dict) -> tuple[list, dict]:
@@ -316,15 +301,16 @@ def _run_pass(spec: SweepSpec, key: int, values: list, memo: dict) -> tuple[list
             try:
                 nested = simulate_outage_counts(top, spec.trials, spec.seed, cell=key,
                                                 k_values=ks)["nested"]
-                for i, out in enumerate(outcomes):
-                    out.update({(m, method): int(nested[m][i]) for m in metrics})
+                per_cell = {m: [int(count) for count in nested[m]] for m in metrics}
             except Exception as exc:    # recorded in-row, so the sweep keeps running
-                for out in outcomes:
-                    out.update({(m, method): exc for m in metrics})
+                per_cell = {m: [exc] * len(cfgs) for m in metrics}
         elif method is Method.EXACT:
-            _store(outcomes, method, metrics, lambda m: _exact(top, ks, m, memo))
+            per_cell = {m: _exact(top, ks, m, memo) for m in metrics}
         else:
-            _store(outcomes, method, metrics, lambda m: [_closed_form(cfg, m) for cfg in cfgs])
+            per_cell = {m: [_closed_form(cfg, m) for cfg in cfgs] for m in metrics}
+        for m, got in per_cell.items():
+            for out, v in zip(outcomes, got):
+                out[(m, method)] = v
         seconds[method] = time.perf_counter() - t0
     return outcomes, seconds
 

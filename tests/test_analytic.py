@@ -562,6 +562,33 @@ class TestPinnedExact:
             assert fn(ctx) == pytest.approx(want, rel=1e-12, abs=0.0), fn.__name__
 
 
+def _cancelled(value, error):
+    return pytest.mark.xfail(strict=True, reason=(
+        f"true value {value}: relative error {error}, from the 1 - marcum_q_outer "
+        "cancellation in _wet_ehp_raw (ROADMAP item 3)"))
+
+
+class TestWetEhpSinglePort:
+    """At K = 1 under Rayleigh the WET outage is the one-port total power's
+    CDF, gammainc(N, q_tilde / 2), which shares no code with marcum_q_outer.
+
+    Both WET evaluators take the WET_EHP kernel there.  They hold rel 1e-6
+    down to 6e-10; at 1.9e-11 (q_hat = 0.05) the error is already 1.5e-6,
+    and below that the cancellation takes over.
+    """
+
+    @pytest.mark.parametrize("fn", [wet_ehp_exact, wet_sinr_exact], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("q_hat", [
+        20.0, 5.0, 1.0, 0.2, 0.1,       # 0.87 down to 6.0e-10
+        pytest.param(0.01, marks=_cancelled("6.2e-15", "1.7%")),
+        pytest.param(0.001, marks=_cancelled("6.2e-20", "about 1000x: it reads 6.47e-17")),
+    ])
+    def test_matches_the_one_port_cdf(self, fn, q_hat):
+        ctx = KernelContext(mu=0.5, gamma_th=2.0, q_hat=q_hat, n_users=5, n_ports=1)
+        want = sp.gammainc(ctx.n_users, ctx.q_tilde / 2.0)
+        assert fn(ctx) == pytest.approx(want, rel=1e-6, abs=0.0)
+
+
 class TestGaussRules:
     """The numpy Gauss rules: Laguerre for the conditioners, the chi rule for
     WET_SINR's conditional-Y axis in u = sqrt(y)."""

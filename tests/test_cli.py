@@ -10,6 +10,7 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -51,8 +52,8 @@ def _with_metrics(metrics):
 
 def _count_exact_calls(monkeypatch, fail=None):
     """Count the calls per EXACT evaluator, at one K (the sweep's table or
-    the module attribute) or over several (the sweep's table or the
-    attribute's .over_ports); `fail` raises instead."""
+    the module attribute) or over several (the .over_ports of either);
+    `fail` raises instead."""
     calls = Counter()
 
     def counting(fn, metric):
@@ -67,7 +68,6 @@ def _count_exact_calls(monkeypatch, fail=None):
         counted = counting(fn, metric)
         counted.over_ports = counting(fn.over_ports, metric)
         monkeypatch.setitem(sweep._EXACT_RAYLEIGH, metric, counted)
-        monkeypatch.setitem(sweep._EXACT_OVER_PORTS, metric, counted.over_ports)
         monkeypatch.setattr(analytic, fn.__name__, counted)
     return calls
 
@@ -213,6 +213,28 @@ class TestRunSweep:
         assert [r["error"] for r in rows] == ["unsupported"] * 2
         assert calls == {Metric.IDET_SPECIAL: 2}
 
+    @pytest.mark.parametrize("method, table", [("EXACT", "_EXACT_RAYLEIGH"),
+                                               ("CLOSED_FORM", "_CLOSED_FORM")])
+    def test_idet_general_takes_the_first_failed_part(self, method, table, monkeypatch):
+        # the parts go IDET_SPECIAL, WDT_SINR, WET_EHP: IDET_GENERAL carries
+        # WDT_SINR's error, not WET_EHP's, whichever row comes first
+        def raising(exc):
+            def evaluator(ctx):
+                raise exc
+            return evaluator
+
+        monkeypatch.setitem(getattr(sweep, table), Metric.WDT_SINR,
+                            raising(QuadratureConvergenceError("forced")))
+        monkeypatch.setitem(getattr(sweep, table), Metric.WET_EHP, raising(ValueError("forced")))
+        rows = run_sweep(spec_from_config(_with_metrics(
+            f"WET_EHP:{method}, IDET_GENERAL:{method}, WDT_SINR:{method}"))).rows
+        assert [r["error"] for r in rows] == ["unsupported", "convergence", "convergence"] * 2
+
+    def test_rician_idet_general_closed_form_is_unsupported(self):
+        rows = run_sweep(spec_from_config(
+            _with_metrics("IDET_GENERAL:CLOSED_FORM") + "rician_k = 2\n")).rows
+        assert [(r["value"], r["error"]) for r in rows] == [("NaN", "unsupported")] * 2
+
     def test_closed_forms_make_no_exact_call(self, monkeypatch):
         calls = _count_exact_calls(monkeypatch)
         rows = run_sweep(spec_from_config(REF_CLOSED_FORMS, require_axis=False)).rows
@@ -306,7 +328,8 @@ class TestExactMemo:
         # leaves every K's value unchanged to the bit
         base = KernelContext(mu=0.5, gamma_th=2.0, q_hat=5.0, n_users=3, n_ports=4)
         moved = dataclasses.replace(base, **{field: 2.0 * getattr(base, field)})
-        got = [sweep._EXACT_OVER_PORTS[metric](ctx, DEFAULT_QUAD, (1, 4)) for ctx in (base, moved)]
+        ports = sweep._EXACT_RAYLEIGH[metric].over_ports
+        got = [ports(ctx, DEFAULT_QUAD, (1, 4)) for ctx in (base, moved)]
         assert all(0.0 < v < 1.0 for v in got[0] + got[1]), got
         assert (repr(got[0]) == repr(got[1])) is (field not in sweep._EXACT_READS[metric])
 
@@ -362,7 +385,8 @@ class TestNestedPortSweep:
 
     def test_exact_call_counter_sees_the_port_pass(self, monkeypatch):
         # the pass calls each EXACT evaluator once over all its K, through
-        # sweep._EXACT_OVER_PORTS; _count_exact_calls must see those calls
+        # its .over_ports in sweep._EXACT_RAYLEIGH; _count_exact_calls must
+        # see those calls
         calls = _count_exact_calls(monkeypatch)
         rows = run_sweep(spec_from_config(PORT_SWEEP_CFG, trials=2000)).rows
         assert calls == {Metric.WDT_SINR: 1, Metric.WET_EHP: 1}
@@ -438,6 +462,21 @@ class TestExactPortPass:
             assert {m: repr(x) for (m, _), x in got.items()} == {
                 m: repr(x) for m, x in direct.items()}, v
         assert run_sweep(spec).rows == _per_cell_rows(spec)
+
+    def test_idet_general_takes_each_k_first_failed_part(self, monkeypatch):
+        # WDT_SINR and WET_EHP both fail at K = 8 alone, so the pass composes
+        # IDET_GENERAL there from the K's outcomes: WDT_SINR's error first
+        parts = {Metric.IDET_SPECIAL: (0.05, 0.05),
+                 Metric.WDT_SINR: (0.1, QuadratureConvergenceError("forced")),
+                 Metric.WET_EHP: (0.2, ValueError("forced"))}
+        for m, (value, at_8) in parts.items():
+            monkeypatch.setitem(sweep._EXACT_RAYLEIGH, m, SimpleNamespace(
+                over_ports=lambda ctx, quad, ks, v=value, e=at_8: [e if k == 8 else v for k in ks]))
+        cfg = EXACT_PORT_CFG.partition("sweep.metrics")[0] + "sweep.metrics = IDET_GENERAL:EXACT\n"
+        rows = run_sweep(spec_from_config(cfg)).rows
+        assert [(r["axis"], r["value"], r["error"]) for r in rows] == [
+            (k, "NaN", "convergence") if k == "8" else (k, "0.25", "")
+            for k in ("1", "2", "3", "8", "64")]
 
     def test_failed_k_keeps_its_error_and_spares_the_others(self, monkeypatch):
         raw = analytic._wet_ehp_raw
@@ -571,6 +610,19 @@ class TestNonFiniteInput:
         cfg = write_cfg(tmp_path, BASE_CFG.replace("0 dB, 3 dB", "0 dB, nan"))
         assert main(["sweep", cfg]) == 1
         assert "sinr_threshold must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["n_ports", "n_users"])
+    @pytest.mark.parametrize("value, shown", [
+        ("inf", "inf"), ("nan", "nan"), ("1e400", "inf"), ("2.5", "2.5")])
+    def test_swept_integer_field_exits_1(self, field, value, shown, tmp_path, capsys):
+        # int() of these raises OverflowError or names no axis; the check
+        # must refuse them first, as it refuses 2.5
+        cfg = write_cfg(tmp_path, BASE_CFG.replace("= sinr_threshold", f"= {field}").replace(
+            "0 dB, 3 dB", f"2, {value}"))
+        assert main(["sweep", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {field} value {shown} is not an integer\n"
 
     @pytest.mark.parametrize("w", ["nan", "inf", "-2", "0"])
     def test_mu_verb_exits_1(self, w, capsys):
