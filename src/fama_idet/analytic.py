@@ -101,8 +101,10 @@ class KernelContext:
             raise ValueError("gamma_th must be positive")
         if not self.q_hat >= 0.0:
             raise ValueError("q_hat must be nonnegative")
-        if self.n_users < 2 or self.n_ports < 1:
-            raise ValueError("need n_users >= 2 and n_ports >= 1")
+        for name, lo in (("n_users", 2), ("n_ports", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= lo):
+                raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
         if not self.rician_k >= 0.0:
             raise ValueError("rician_k must be nonnegative")
 

@@ -63,6 +63,8 @@ class SystemConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            if name in ("n_users", "n_ports") and not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_users < 2:
             raise ValueError("n_users must be >= 2 (interference-limited model)")
         if self.n_ports < 1:

@@ -2,13 +2,14 @@
 
 All UEs are statistically identical, so only UE 0 is simulated; the
 number of UEs enters through the interference dimensionality.  Port
-powers are drawn per antenna group, as noncentral chi-square variables
-given the components all ports share.  Trials run in fixed-size blocks,
-each block on its own SFC64 substream keyed by (cell, block) through a
-``SeedSequence`` spawn key, which makes every estimate a pure function of
-(config, seed) regardless of scheduling; the blocks of one estimate run on
-a thread per CPU.  A block draws, transforms and counts its trials in row
-chunks of at most ENTRIES port powers, so its memory does not grow with K.
+powers are drawn for the desired antenna and for the other N - 1, as
+noncentral chi-square variables given the components all ports share.
+Trials run in fixed-size blocks, each block on its own SFC64 substream
+keyed by (cell, block) through a ``SeedSequence`` spawn key, which makes
+every estimate a pure function of (config, seed) regardless of scheduling;
+the blocks of one estimate run on a thread per CPU.  A block draws,
+transforms and counts its trials in row chunks of at most ENTRIES port
+powers, so its memory does not grow with K.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .channel import SystemConfig, _thread_map
 
 BLOCK = 8192
 MIN_TRIALS = 1000
-ENTRIES = 2 ** 16  # port powers per chunk buffer: (groups, rows, K) stays in cache
+ENTRIES = 2 ** 16  # port powers per chunk buffer: (2, rows, K) stays in cache
 _PHASE_KEY = (0,)  # LoS phases: one word, unlike every (cell, block) key
 
 
@@ -85,17 +86,16 @@ def substream(seed: int, cell: int, block) -> np.random.Generator:
     return _stream(seed, cell, block)
 
 
-def los_phases(cfg: SystemConfig, seed: int, n_antennas: int | None = None) -> np.ndarray:
-    """LoS phases, one per antenna (`n_antennas`, by default cfg.n_users).
+def los_phases(cfg: SystemConfig, seed: int) -> np.ndarray:
+    """LoS phases, one per antenna of cfg.n_users.
 
     They are fixed per (config, seed): every trial, block and cell of a sweep
-    shares them.  The draws fill in order, so a longer draw extends a shorter
-    one."""
+    shares them."""
     rng = _stream(seed, *_PHASE_KEY)
-    return rng.uniform(0.0, 2.0 * math.pi, size=n_antennas or cfg.n_users)
+    return rng.uniform(0.0, 2.0 * math.pi, size=cfg.n_users)
 
 
-def _blocks(cfg, trials, seed, cell, groups, reduce):
+def _blocks(cfg, trials, seed, cell, reduce):
     """Map `reduce` over UE 0's port powers summed per antenna group, one
     chunk of trials at a time; return its results in block order, then chunk
     order.
@@ -103,9 +103,9 @@ def _blocks(cfg, trials, seed, cell, groups, reduce):
     Each block of BLOCK trials is drawn on its own substream, so the blocks
     are independent and run on one thread per CPU with the same results at
     any thread count.  A block walks its trials in chunks of `rows` trials,
-    and `reduce` gets each chunk as an array of shape (len(groups), rows, K)
-    that the next chunk overwrites.  Group g is the next ``groups[g]``
-    antennas; group 0 is antenna 0, the desired link.  Given the shared means
+    and `reduce` gets each chunk as an array of shape (2, rows, K) that the
+    next chunk overwrites.  Group 0 is antenna 0, the desired link, and group
+    1 is the other N - 1 antennas, the interference.  Given the shared means
     m_n = mu h0_n + sqrt(kappa) e^{j phi_n}, a group of G antennas gives each
     port the power (s Z + |m|)^2 + s^2 C with |m|^2 = sum |m_n|^2,
     s^2 = 1 - mu^2, Z ~ N(0, 1) and C ~ chi2(2G - 1), drawn as a squared
@@ -115,21 +115,20 @@ def _blocks(cfg, trials, seed, cell, groups, reduce):
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}")
-    k, mu, n = cfg.n_ports, cfg.mu, sum(groups)
+    k, mu, n = cfg.n_ports, cfg.mu, cfg.n_users
+    groups = (1, n - 1)
     s = math.sqrt(max(0.0, 1.0 - mu * mu))
-    starts = np.cumsum((0, *groups[:-1]))
     rows = max(1, ENTRIES // (k * len(groups)))
     los = 0.0
     if cfg.rician_k > 0.0:
-        # nested N may sum more antennas than the config's n_users
-        phases = los_phases(cfg, seed, max(cfg.n_users, n))[:n]
+        phases = los_phases(cfg, seed)
         los = math.sqrt(cfg.rician_k) * np.stack([np.cos(phases), np.sin(phases)])[:, None]
 
     def run(b):
         size = min(BLOCK, trials - b * BLOCK)
         rng = substream(seed, cell, b)
         h = mu * rng.standard_normal((2, size, n)) + los
-        m = np.sqrt(np.add.reduceat(h[0] ** 2 + h[1] ** 2, starts, axis=1))
+        m = np.sqrt(np.add.reduceat(h[0] ** 2 + h[1] ** 2, (0, 1), axis=1))
         p = np.empty((len(groups), min(rows, size), k))
         scratch = np.empty(p.shape[1:])
         out = []
@@ -172,49 +171,28 @@ def simulate_outage_counts(
     seed: int,
     cell: int = 0,
     k_values: list[int] | None = None,
-    n_values: list[int] | None = None,
 ) -> dict:
     """Failure counts for all six outage metrics over `trials` realizations.
 
     Returns ``{"counts": {Metric: int}, "trials": trials}``.  With `k_values`
-    (nested ports, each in [1, n_ports]) or `n_values` (nested antennas, each
-    at least 2) the six metrics are also counted per swept value on common
-    random numbers, so the pathwise monotonicity of the four max-based
-    metrics in K and N is exact; they come as ``"nested"`` ({Metric: int
-    array over the values}) and ``"nested_values"``.  A nested-N run has no
-    ``"counts"``: it draws every antenna on its own, a different stream from
-    the plain run's, and may sum fewer antennas than n_users.
+    (nested ports, each in [1, n_ports]) the six metrics are also counted at
+    each of those K on common random numbers, so the pathwise monotonicity
+    of the four max-based metrics in K is exact; they come as ``"nested"``
+    ({Metric: int array over k_values}).
     """
-    if k_values is not None and n_values is not None:
-        raise ValueError("nest over K or N, not both")
-    for name, values, lo, hi in (("k", k_values, 1, cfg.n_ports), ("n", n_values, 2, math.inf)):
-        if not all(isinstance(v, (int, np.integer)) and lo <= v <= hi for v in values or ()):
-            raise ValueError(f"{name}_values must be integers in [{lo}, {hi}], got {values}")
-    gamma = cfg.sinr_threshold
-    q_scale = _q_scale(cfg)
-    q_th = cfg.ehp_threshold
-    # nested N sums per-antenna powers cumulatively, so each antenna is a group
-    groups = (1,) * max(n_values) if n_values else (1, cfg.n_users - 1)
-    nested_values = k_values or n_values or []
-    # the distinct views a chunk is counted in: antenna counts, or port counts
-    keys = list(dict.fromkeys(n_values or [cfg.n_ports, *nested_values]))
+    if not all(isinstance(k, (int, np.integer)) and 1 <= k <= cfg.n_ports for k in k_values or ()):
+        raise ValueError(f"k_values must be integers in [1, {cfg.n_ports}], got {k_values}")
+    gamma, q_th, q_scale = cfg.sinr_threshold, cfg.ehp_threshold, _q_scale(cfg)
+    keys = list(dict.fromkeys([cfg.n_ports, *(k_values or [])]))  # distinct K to count at
 
     def reduce(p):
-        if n_values:
-            cum = np.cumsum(p, axis=0)
-            views = ((_sinr(p[0], cum[n - 1] - p[0]), q_scale * cum[n - 1]) for n in keys)
-        else:
-            sinr, q = _sinr(p[0], p[1]), q_scale * (p[0] + p[1])
-            views = ((sinr[:, :k], q[:, :k]) for k in keys)
-        return [_count(sinr_v, q_v, gamma, q_th) for sinr_v, q_v in views]
+        sinr, q = _sinr(p[0], p[1]), q_scale * (p[0] + p[1])
+        return [_count(sinr[:, :k], q[:, :k], gamma, q_th) for k in keys]
 
-    tally = dict(zip(keys, np.sum(_blocks(cfg, trials, seed, cell, groups, reduce), axis=0)))
-    out = {"trials": trials}
-    if not n_values:
-        out["counts"] = dict(zip(Metric, map(int, tally[cfg.n_ports])))
-    if nested_values:
-        out["nested"] = dict(zip(Metric, np.array([tally[v] for v in nested_values]).T))
-        out["nested_values"] = list(nested_values)
+    tally = dict(zip(keys, np.sum(_blocks(cfg, trials, seed, cell, reduce), axis=0)))
+    out = {"trials": trials, "counts": dict(zip(Metric, map(int, tally[cfg.n_ports])))}
+    if k_values:
+        out["nested"] = dict(zip(Metric, np.array([tally[k] for k in k_values]).T))
     return out
 
 
@@ -271,7 +249,7 @@ def estimate_energy_efficiency(
         return (float(sel_rate.sum()), float(sel_q.sum()),
                 float((n * cfg.bandwidth * sel_rate / denom).sum()))
 
-    rate_sums, q_sums, ratio_sums = zip(*_blocks(cfg, trials, seed, cell, (1, n - 1), reduce))
+    rate_sums, q_sums, ratio_sums = zip(*_blocks(cfg, trials, seed, cell, reduce))
     mean_rate = math.fsum(rate_sums) / trials
     mean_q = math.fsum(q_sums) / trials
     sum_rate = n * cfg.bandwidth * mean_rate
@@ -300,8 +278,7 @@ def independence_diagnostic(
     """
     from scipy import stats  # slow to import, and only this diagnostic needs it
 
-    chunks = _blocks(replace(cfg, n_ports=1), trials, seed, cell, (1, cfg.n_users - 1),
-                     lambda p: p[:, :, 0].copy())
+    chunks = _blocks(replace(cfg, n_ports=1), trials, seed, cell, lambda p: p[:, :, 0].copy())
     x, y = np.concatenate(chunks, axis=1)
     corr = float(stats.spearmanr(x + y, x / y).statistic)
     threshold = 3.0 / math.sqrt(trials)

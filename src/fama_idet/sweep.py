@@ -84,10 +84,11 @@ def parse_config(text: str) -> dict:
                 value = _convert(raw)
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
-            raise ConfigError(f"line {lineno}: field {key!r}: {exc}") from exc
+            why = f"{raw!r} is out of float range" if isinstance(exc, OverflowError) else exc
+            raise ConfigError(f"line {lineno}: field {key!r}: {why}") from exc
         out[key] = (raw, value)
     return out
 

@@ -434,6 +434,13 @@ class TestContext:
         with pytest.raises(ValueError):
             KernelContext(mu=0.5, gamma_th=1.0, q_hat=-1.0, n_users=2, n_ports=2)
 
+    @pytest.mark.parametrize("field", ["n_users", "n_ports"])
+    def test_counts_must_be_integers(self, field):
+        kw = dict(mu=0.5, gamma_th=1.0, q_hat=1.0, n_users=2, n_ports=2)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            KernelContext(**{**kw, field: 3.5})
+        assert getattr(KernelContext(**{**kw, field: np.int64(3)}), field) == 3
+
     @pytest.mark.parametrize("field", ["mu", "gamma_th", "q_hat", "rician_k"])
     def test_nan_rejected(self, field):
         kw = dict(mu=0.5, gamma_th=1.0, q_hat=1.0, n_users=2, n_ports=2, rician_k=0.0)

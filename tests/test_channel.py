@@ -50,6 +50,17 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             cfg_small(**kw)
 
+    @pytest.mark.parametrize("name", ["n_users", "n_ports"])
+    @pytest.mark.parametrize("value", [3.5, 3.0, "3"])
+    def test_counts_must_be_integers(self, name, value):
+        # else a float K or N reaches numpy's draws or the Marcum order check
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            cfg_small(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = cfg_small(n_users=np.int64(3), n_ports=np.int32(4))
+        assert (cfg.n_users, cfg.n_ports) == (3, 4)
+
     @pytest.mark.parametrize("name", [
         "fa_size", "ps_ratio", "tx_power", "distance", "pathloss_exp", "sinr_threshold",
         "ehp_threshold", "rician_k", "bandwidth", "fixed_power", "mu",

@@ -624,6 +624,19 @@ class TestNonFiniteInput:
         assert captured.out == ""
         assert captured.err == f"error: {field} value {shown} is not an integer\n"
 
+    @pytest.mark.parametrize("command, text, want", [
+        ("eval", EVAL.replace("= 3 dB", "= 4000 dB"),
+         "line 5: field 'sinr_threshold': '4000 dB'"),
+        ("sweep", BASE_CFG.replace("0 dB, 3 dB", "0 dB, 4000 dB"),
+         "line 10: field 'sweep.values': '0 dB, 4000 dB'"),
+    ], ids=["field", "swept"])
+    def test_db_value_past_float_range_exits_1(self, command, text, want, tmp_path, capsys):
+        # 10.0 ** 400.0 raises OverflowError, not ValueError
+        assert main([command, write_cfg(tmp_path, text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {want} is out of float range\n"
+
     @pytest.mark.parametrize("w", ["nan", "inf", "-2", "0"])
     def test_mu_verb_exits_1(self, w, capsys):
         assert main(["mu", "--w", w]) == 1

@@ -69,6 +69,12 @@ class TestDeterminism:
         assert p1.shape == (cfg.n_users,)
         assert np.all((p1 >= 0.0) & (p1 < 2 * math.pi))
 
+    def test_rician_counts_pinned(self):
+        # one partial block at N = 3: the LoS phases enter every antenna's mean
+        cfg = SystemConfig(n_users=3, n_ports=4, rician_k=2.0)
+        counts = simulate_outage_counts(cfg, 2000, seed=1)["counts"]
+        assert [counts[m] for m in Metric] == [1391, 100, 1841, 0, 0, 1391]
+
     def test_min_trials_enforced(self):
         with pytest.raises(ValueError):
             simulate_outage_counts(cfg_small(), 999, seed=0)
@@ -129,13 +135,6 @@ class TestPinnedStream:
             "WET_SINR": [17519, 17584, 17649], "WDT_EHP": [17761, 17855, 17771]}
         # the view at k = n_ports is the plain run, all six metrics
         assert {m: int(res["nested"][m][-1]) for m in Metric} == full
-
-        cfg_n = SystemConfig(**{**self.CFG, "n_users": 5, "n_ports": 4})
-        res = simulate_outage_counts(cfg_n, self.TRIALS, seed=17, cell=3, n_values=[2, 3, 5])
-        assert {m.name: res["nested"][m].tolist() for m in res["nested"]} == {
-            "WDT_SINR": [4080, 12500, 19007], "WET_EHP": [16990, 11893, 2198],
-            "IDET_SPECIAL": [3430, 7393, 2103], "IDET_GENERAL": [17640, 17000, 19102],
-            "WET_SINR": [19231, 17601, 11238], "WDT_EHP": [13418, 17789, 19773]}
 
         cfg_r = SystemConfig(**self.CFG, rician_k=2.0)
         rician = simulate_outage_counts(cfg_r, self.TRIALS, seed=17, cell=4)["counts"]
@@ -204,12 +203,11 @@ class TestCountIdentities:
 
 
 class TestBlockMemory:
-    @pytest.mark.parametrize("nested", [{}, {"n_values": list(range(2, 9))}],
-                             ids=["plain", "nested_n"])
+    @pytest.mark.parametrize("nested", [{}, {"k_values": [1, 50, 200]}],
+                             ids=["plain", "nested_k"])
     def test_block_peak_does_not_grow_with_k(self, nested, monkeypatch):
-        # at K = 200 a whole (BLOCK, K, groups) array would take 26 MB plain
-        # and 105 MB for eight antenna groups; in chunks a block peaks near
-        # 2.4 and 3.4 MB
+        # at K = 200 a whole (BLOCK, K, 2) array would take 26 MB; in chunks
+        # a block peaks near 2.4 MB, counted at one K or at several
         monkeypatch.setattr(channel, "_cpus", lambda: 1)
         cfg = SystemConfig(n_users=5, n_ports=200, fa_size=5.0, ehp_threshold=0.11)
         tracemalloc.start()
@@ -230,54 +228,15 @@ class TestNestedSweeps:
             counts = res["nested"][metric]
             assert all(a >= b for a, b in zip(counts, counts[1:]))
 
-    def test_nested_n_directions(self):
-        cfg = cfg_small(n_users=6, n_ports=8)
-        res = simulate_outage_counts(cfg, TRIALS, seed=9, n_values=[2, 3, 4, 5, 6])
-        wdt = res["nested"][Metric.WDT_SINR]
-        wet = res["nested"][Metric.WET_EHP]
-        assert all(a <= b for a, b in zip(wdt, wdt[1:]))   # more interference
-        assert all(a >= b for a, b in zip(wet, wet[1:]))   # more harvested power
-
-    def test_nested_n_beyond_n_users_rician(self):
-        # the LoS phases cover every antenna the nested sweep sums; the
-        # first n_users of them are the phases a plain run draws
-        cfg = SystemConfig(n_users=3, n_ports=4, rician_k=2.0)
-        np.testing.assert_array_equal(los_phases(cfg, seed=1, n_antennas=4)[:3],
-                                      los_phases(cfg, seed=1))
-        res = simulate_outage_counts(cfg, 2000, seed=1, n_values=[2, 3, 4])
-        wdt = res["nested"][Metric.WDT_SINR]
-        assert all(a <= b for a, b in zip(wdt, wdt[1:]))
-        # the plain Rician counts, whose phases the wider draw leaves alone
-        plain = simulate_outage_counts(cfg, 2000, seed=1)["counts"]
-        assert [plain[m] for m in Metric] == [1391, 100, 1841, 0, 0, 1391]
-
-    def test_nested_n_has_no_full_counts(self):
-        # a nested-N run draws each antenna on its own stream layout, so it
-        # has no counts of the config's own six metrics to report
-        cfg = SystemConfig(n_users=5, n_ports=4, fa_size=2, ehp_threshold=0.05)
-        res = simulate_outage_counts(cfg, 2000, seed=1, n_values=[2, 3, 5])
-        assert "counts" not in res
-        assert res["nested_values"] == [2, 3, 5]
-        assert res["nested"][Metric.WDT_SINR].tolist() == [415, 1244, 1912]
-
-    def test_nesting_both_axes_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_outage_counts(cfg_small(), TRIALS, seed=0,
-                                   k_values=[1], n_values=[2])
-
     @pytest.mark.parametrize("nested", [
         {"k_values": [-1]},      # would count the first 7 of 8 ports
         {"k_values": [20]},      # would count all 8
         {"k_values": [0]},
         {"k_values": [2.0]},
-        {"n_values": [0]},       # would divide by zero
-        {"n_values": [1]},
-        {"n_values": [2, 3.5]},
     ], ids=str)
     def test_nested_values_checked(self, nested):
         cfg = cfg_small(n_users=3, n_ports=8)
-        name = next(iter(nested))
-        with pytest.raises(ValueError, match=f"{name} must be integers in"):
+        with pytest.raises(ValueError, match="k_values must be integers in"):
             simulate_outage_counts(cfg, 1000, seed=0, **nested)
 
 
@@ -350,24 +309,20 @@ class TestSamplerOracle:
 
     The explicit route draws every port gain from its own normals
     (``generate_rayleigh``/``generate_rician`` + ``port_statistics``); the
-    group sampler draws each antenna group's power directly.  Two-sample KS
-    tests compare port 0's X, Y and X/Y, and the best port's X/Y, which
-    depends on the components the ports share.
+    group sampler draws the powers of the desired antenna and of the other
+    N - 1 antennas directly.  Two-sample KS tests compare port 0's X, Y and
+    X/Y, and the best port's X/Y, which depends on the components the ports
+    share.
     """
 
     SAMPLES = 20_000
 
-    @pytest.mark.parametrize("n_users, rician_k, per_antenna", [
-        (2, 0.0, False), (3, 0.0, False), (5, 0.0, False),
-        (3, 2.0, False), (5, 0.0, True),
-    ])
-    def test_port_powers_match_explicit_composition(self, n_users, rician_k, per_antenna):
+    @pytest.mark.parametrize("n_users, rician_k", [(2, 0.0), (3, 0.0), (5, 0.0), (3, 2.0)])
+    def test_port_powers_match_explicit_composition(self, n_users, rician_k):
         cfg = SystemConfig(n_users=n_users, n_ports=3, mu=0.8, rician_k=rician_k)
-        groups = (1,) * n_users if per_antenna else (1, n_users - 1)
-        # each chunk is (groups, rows, K) in a buffer the next chunk reuses
-        p = np.concatenate(_blocks(cfg, self.SAMPLES, 31, 0, groups, lambda p: p.copy()),
-                           axis=1)
-        x_fast, y_fast = p[0], p[1:].sum(axis=0)
+        # each chunk is (2, rows, K) in a buffer the next chunk reuses
+        x_fast, y_fast = np.concatenate(_blocks(cfg, self.SAMPLES, 31, 0, lambda p: p.copy()),
+                                        axis=1)
 
         phases = los_phases(cfg, seed=31)
         rng = np.random.default_rng(32)
