@@ -220,8 +220,12 @@ def _ncx2_quad(m: int, lam: float, n_nodes: int):
 
 def _ncx2_pdf(lam, x):
     """Noncentral chi-square pdf with 2 dof, stable at large arguments."""
-    # i0e = e^{-|arg|} I_0: its scaling is the sqrt(lam x) cross term of the exponent
-    return 0.5 * _flushed_exp(-0.5 * (np.sqrt(lam) - np.sqrt(x)) ** 2) * sp.i0e(np.sqrt(lam * x))
+    # i0e = e^{-|arg|} I_0: its scaling is the sqrt(lam x) cross term of the exponent.
+    # It runs only where the flushed Gaussian factor left a nonzero entry
+    pdf = 0.5 * _flushed_exp(-0.5 * (np.sqrt(lam) - np.sqrt(x)) ** 2)
+    live = pdf != 0.0
+    pdf[live] *= sp.i0e(np.sqrt(lam * x)[live])
+    return pdf
 
 
 def _powers(values: np.ndarray, ks):

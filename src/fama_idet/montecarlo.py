@@ -3,7 +3,10 @@
 All UEs are statistically identical, so only UE 0 is simulated; the
 number of UEs enters through the interference dimensionality.  Port
 powers are drawn for the desired antenna and for the other N - 1, as
-noncentral chi-square variables given the components all ports share.
+noncentral chi-square variables given the components all ports share,
+each built from uniform draws: a Box-Muller radius and angle for the
+normal part and an Erlang log-product (a gamma for wide groups) for the
+rest (see _blocks).
 Trials run in fixed-size blocks, each block on its own SFC64 substream
 keyed by (cell, block) through a ``SeedSequence`` spawn key, which makes
 every estimate a pure function of (config, seed) regardless of scheduling;
@@ -26,6 +29,10 @@ BLOCK = 8192
 MIN_TRIALS = 1000
 ENTRIES = 2 ** 16  # port powers per chunk buffer: (2, rows, K) stays in cache
 _PHASE_KEY = (0,)  # LoS phases: one word, unlike every (cell, block) key
+# chi2(2j) from j uniforms up to here, above it from one gamma: on one thread
+# the uniforms cost 2.5-3 ns each and the gamma 20-22 ns at any j >= 2, and
+# they tie near j = 7
+_ERLANG_MAX = 6
 
 
 class Metric(enum.Enum):
@@ -105,11 +112,22 @@ def _blocks(cfg, trials, seed, cell, reduce):
     any thread count.  A block walks its trials in chunks of `rows` trials,
     and `reduce` gets each chunk as an array of shape (2, rows, K) that the
     next chunk overwrites.  Group 0 is antenna 0, the desired link, and group
-    1 is the other N - 1 antennas, the interference.  Given the shared means
-    m_n = mu h0_n + sqrt(kappa) e^{j phi_n}, a group of G antennas gives each
-    port the power (s Z + |m|)^2 + s^2 C with |m|^2 = sum |m_n|^2,
-    s^2 = 1 - mu^2, Z ~ N(0, 1) and C ~ chi2(2G - 1), drawn as a squared
-    normal when G = 1.
+    1 is the other N - 1 antennas, the interference.
+
+    Given the shared means m_n = mu h0_n + sqrt(kappa) e^{j phi_n}, a group
+    of G antennas gives each port the power (s Z + |m|)^2 + s^2 C with
+    |m|^2 = sum |m_n|^2, s^2 = 1 - mu^2, Z ~ N(0, 1) and C ~ chi2(2G - 1).
+    Write Z = R cos(theta) (Box & Muller, Ann. Math. Stat. 1958): then
+    Z^2 + C = R^2 + E with R^2 ~ chi2(2) and E ~ chi2(2G - 2), so the power
+    is s^2 (R^2 + E) + 2 s |m| R cos(theta) + |m|^2, drawn from uniforms:
+
+    - R^2 = -2 log(1 - U), finite for every U in [0, 1);
+    - cos(theta) = (1 - t^2) / (1 + t^2) with t = tan(pi (V - 1/2)), the
+      half-angle form, which numpy evaluates in SIMD where float64 cos is
+      scalar; at V = 0 it reads -1;
+    - E = -2 log prod_{i < G} (1 - U_i), an Erlang sum (Devroye, Non-Uniform
+      Random Variate Generation, 1986), 0 at G = 1; above _ERLANG_MAX
+      uniforms a gamma is cheaper, and E is 2 standard_gamma(G - 1).
     """
     if not isinstance(trials, (int, np.integer)):
         raise ValueError(f"trials must be an integer, got {trials!r}")
@@ -117,7 +135,7 @@ def _blocks(cfg, trials, seed, cell, reduce):
         raise ValueError(f"trials must be >= {MIN_TRIALS}")
     k, mu, n = cfg.n_ports, cfg.mu, cfg.n_users
     groups = (1, n - 1)
-    s = math.sqrt(max(0.0, 1.0 - mu * mu))
+    s2 = max(0.0, 1.0 - mu * mu)
     rows = max(1, ENTRIES // (k * len(groups)))
     los = 0.0
     if cfg.rician_k > 0.0:
@@ -128,30 +146,68 @@ def _blocks(cfg, trials, seed, cell, reduce):
         size = min(BLOCK, trials - b * BLOCK)
         rng = substream(seed, cell, b)
         h = mu * rng.standard_normal((2, size, n)) + los
-        m = np.sqrt(np.add.reduceat(h[0] ** 2 + h[1] ** 2, (0, 1), axis=1))
+        m2 = np.add.reduceat(h[0] ** 2 + h[1] ** 2, (0, 1), axis=1)   # |m|^2, (size, 2)
+        two_s_m = 2.0 * math.sqrt(s2) * np.sqrt(m2)
         p = np.empty((len(groups), min(rows, size), k))
-        scratch = np.empty(p.shape[1:])
+        scratch = np.empty((2, *p.shape[1:]))
         out = []
         for r in range(0, size, rows):
             chunk = p[:, :min(rows, size - r)]
-            c = scratch[:chunk.shape[1]]
+            x, c = scratch[:, :chunk.shape[1]]
+            at = slice(r, r + chunk.shape[1])
             for g, width in enumerate(groups):
-                z = rng.standard_normal(out=chunk[g])
-                z *= s
-                z += m[r:r + len(z), g, None]
-                np.square(z, out=z)
-                if width == 1:
-                    np.square(rng.standard_normal(out=c), out=c)
-                else:  # chisquare(df) is 2 standard_gamma(df / 2), bit for bit
-                    rng.standard_gamma(width - 0.5, out=c)
-                    c *= 2.0
-                c *= s * s
-                z += c
+                power = _erlang(rng, width - 1, chunk[g], x)
+                _uniform_cos(rng, c, x)
+                np.log(_one_minus_uniform(rng, x), out=x)
+                x *= -2.0                                 # R^2
+                power += x
+                power *= s2
+                np.sqrt(x, out=x)
+                x *= c
+                x *= two_s_m[at, g, None]
+                power += x
+                power += m2[at, g, None]
             out.append(reduce(chunk))
         return out
 
     per_block = _thread_map(run, range((trials + BLOCK - 1) // BLOCK))
     return [res for chunks in per_block for res in chunks]
+
+
+def _one_minus_uniform(rng, out):
+    """1 - U into out: in (0, 1], so its log is finite."""
+    rng.random(out=out)
+    return np.subtract(1.0, out, out=out)
+
+
+def _erlang(rng, j, out, scratch):
+    """chi2(2j) into out, 0 at j = 0; scratch takes each further uniform."""
+    if j == 0:
+        out.fill(0.0)
+    elif j > _ERLANG_MAX:
+        rng.standard_gamma(j, out=out)
+        out *= 2.0
+    else:
+        _one_minus_uniform(rng, out)
+        for _ in range(j - 1):
+            out *= _one_minus_uniform(rng, scratch)
+        np.log(out, out=out)
+        out *= -2.0
+    return out
+
+
+def _uniform_cos(rng, out, scratch):
+    """cos(theta) into out for theta uniform on a circle, by the half-angle
+    tangent t = tan(pi (V - 1/2)): (1 - t^2) / (1 + t^2)."""
+    rng.random(out=out)
+    out -= 0.5
+    out *= math.pi
+    np.tan(out, out=out)
+    np.square(out, out=out)
+    np.add(1.0, out, out=scratch)
+    np.subtract(1.0, out, out=out)
+    out /= scratch
+    return out
 
 
 def _sinr(desired, interf):
