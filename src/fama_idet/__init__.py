@@ -1,5 +1,5 @@
-"""Outage, multiplexing-gain and energy-efficiency analysis of
-fluid-antenna multiple access with integrated data and energy transfer.
+"""Outage and multiplexing-gain analysis of fluid-antenna multiple access
+with integrated data and energy transfer.
 
 Two independent evaluation routes are exposed for every outage metric:
 Monte-Carlo simulation (:mod:`fama_idet.montecarlo`) and deterministic
@@ -8,7 +8,6 @@ approximations (:mod:`fama_idet.analytic`).
 """
 
 from .analytic import (
-    ClosedFormPair,
     DEFAULT_QUAD,
     KernelContext,
     QuadratureConvergenceError,
@@ -27,13 +26,9 @@ from .analytic import (
 )
 from .channel import SystemConfig
 from .montecarlo import (
-    EnergyEfficiencyReport,
     GainReport,
     Method,
     Metric,
-    Strategy,
-    estimate_energy_efficiency,
-    independence_diagnostic,
     multiplexing_gains,
     simulate_outage_counts,
 )
@@ -42,9 +37,7 @@ from .specfun import SeriesConvergenceError, mu_from_w
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClosedFormPair",
     "DEFAULT_QUAD",
-    "EnergyEfficiencyReport",
     "GainReport",
     "KernelContext",
     "Method",
@@ -52,13 +45,10 @@ __all__ = [
     "QuadratureConvergenceError",
     "QuadratureSpec",
     "SeriesConvergenceError",
-    "Strategy",
     "SystemConfig",
-    "estimate_energy_efficiency",
     "idet_general",
     "idet_special_approx",
     "idet_special_exact",
-    "independence_diagnostic",
     "mu_from_w",
     "multiplexing_gains",
     "simulate_outage_counts",

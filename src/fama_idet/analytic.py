@@ -339,23 +339,15 @@ def wdt_sinr_exact(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     return _with_richardson(_wdt_sinr_raw, ctx, quad, "wdt_sinr_exact", ks)
 
 
-@dataclass(frozen=True)
-class ClosedFormPair:
-    """Full closed-form value and its large-threshold simplification."""
+def wdt_sinr_approx(ctx: KernelContext) -> float:
+    """Closed-form WDT outage approximation (binomial-expansion regime).
 
-    theorem: float
-    corollary: float
-
-
-def wdt_sinr_approx(ctx: KernelContext) -> ClosedFormPair:
-    """Closed-form WDT outage approximations (binomial-expansion regime).
-
-    Both values are 1 - K*s, the first-order truncation of the binomial
-    expansion of the K-port product, where s is the probability that one
-    port clears gamma_th (at K = 1 the theorem matches the single-port
-    outage 1 - (1 + gamma_th)^-(N-1) to about 1e-4).
-    They are valid only while the first-order term K*s << 1; for K*s >~ 1
-    the truncation goes negative and the values clamp to 0, which is no
+    It is 1 - K*s, the first-order truncation of the binomial expansion of
+    the K-port product, where s is the probability that one port clears
+    gamma_th (at K = 1 it matches the single-port outage
+    1 - (1 + gamma_th)^-(N-1) to about 1e-4).
+    It is valid only while the first-order term K*s << 1; for K*s >~ 1 the
+    truncation goes negative and the value clamps to 0, which is no
     estimate of the outage.
     """
     _rayleigh_only(ctx, "wdt_sinr_approx")
@@ -365,10 +357,7 @@ def wdt_sinr_approx(ctx: KernelContext) -> ClosedFormPair:
                 for m, b_m in enumerate(_order_weights(n, g)))
     cval = (((2.0 * g * (1.0 - mu2) + 1.0) / (2.0 * g * g + (3.0 - mu2) * g + 1.0)) ** (n - 1)
             * (1.0 - mu2) * c_sum)
-    shared = 1.0 - kp * (mu2 / (g + 1.0)) ** (n - 1)     # 1 less the term both values subtract
-    theorem = max(0.0, shared - kp * cval)
-    corollary = max(0.0, shared - kp * ((1.0 - mu2) / (g + 1.0)) ** (n - 1))
-    return ClosedFormPair(theorem=theorem, corollary=corollary)
+    return max(0.0, 1.0 - kp * (mu2 / (g + 1.0)) ** (n - 1) - kp * cval)
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +576,11 @@ def idet_special_exact(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
 
 
 def idet_special_approx(ctx: KernelContext) -> float:
-    """Product of the WDT_SINR theorem and the WET_EHP closed form: the
+    """Product of the WDT_SINR and WET_EHP closed forms: the
     joint all-port outage when the two events decouple (small mu).  Where
     a factor clamps at 0 outside its first-order regime, so does the product."""
     _rayleigh_only(ctx, "idet_special_approx")
-    return wdt_sinr_approx(ctx).theorem * wet_ehp_approx(ctx)
+    return wdt_sinr_approx(ctx) * wet_ehp_approx(ctx)
 
 
 def idet_general(wdt: float, wet: float, special: float, tol: float = 1e-6) -> float:

@@ -55,8 +55,6 @@ class SystemConfig:
     sinr_threshold: float = 10 ** 0.3  # gamma_th, linear (3 dB)
     ehp_threshold: float = 0.010       # Q_th [W]
     rician_k: float = 0.0       # kappa; 0 = Rayleigh
-    bandwidth: float = 1e6      # B [Hz]
-    fixed_power: float = 0.5    # P_C [W]
     mu: float | None = None     # overrides the Eq.-of-W value when set
 
     def __post_init__(self):
@@ -69,11 +67,10 @@ class SystemConfig:
             raise ValueError("n_users must be >= 2 (interference-limited model)")
         if self.n_ports < 1:
             raise ValueError("n_ports must be >= 1")
-        for name in ("fa_size", "tx_power", "distance", "pathloss_exp",
-                     "sinr_threshold", "bandwidth"):
+        for name in ("fa_size", "tx_power", "distance", "pathloss_exp", "sinr_threshold"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("ehp_threshold", "rician_k", "fixed_power"):
+        for name in ("ehp_threshold", "rician_k"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if not 0.0 <= self.ps_ratio <= 1.0:

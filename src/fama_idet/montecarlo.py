@@ -1,4 +1,4 @@
-"""Monte-Carlo estimation of outage probabilities, gains and energy efficiency.
+"""Monte-Carlo estimation of outage probabilities and multiplexing gains.
 
 All UEs are statistically identical, so only UE 0 is simulated; the
 number of UEs enters through the interference dimensionality.  Port
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,36 +50,12 @@ class Method(enum.Enum):
     CLOSED_FORM = "CLOSED_FORM"
 
 
-class Strategy(enum.Enum):
-    WDT = "WDT"
-    WET = "WET"
-
-
 @dataclass(frozen=True)
 class GainReport:
     m_wdt: float
     m_wet: float
     m_idet_special: float
     m_idet_general: float
-
-
-@dataclass(frozen=True)
-class EnergyEfficiencyReport:
-    sum_rate: float          # bits/s
-    harvested: float         # W
-    total_power: float       # W
-    ee: float                # bits/J, ratio of means
-    ee_mean_of_ratios: float
-    strategy: Strategy
-    valid: bool = True
-
-
-@dataclass(frozen=True)
-class IndependenceReport:
-    rank_correlation: float
-    threshold: float
-    passed: bool
-    trials: int
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -281,61 +257,3 @@ def multiplexing_gains(outages: dict, n_users: int) -> GainReport:
         m_idet_special=n_users * (1.0 - outages[Metric.IDET_SPECIAL]),
         m_idet_general=n_users * (1.0 - outages[Metric.IDET_GENERAL]),
     )
-
-
-def estimate_energy_efficiency(
-    cfg: SystemConfig, strategy: Strategy, trials: int, seed: int, cell: int = 0
-) -> EnergyEfficiencyReport:
-    """Trial-averaged energy efficiency for the given port selection strategy.
-
-    Primary figure is the ratio of means E[R] / E[Q_total]; the mean of the
-    per-trial ratios is reported alongside.
-    """
-    q_scale = _q_scale(cfg)
-    n = cfg.n_users
-    base_power = n * cfg.tx_power + cfg.fixed_power
-
-    def reduce(p):
-        sinr, q = _sinr(p[0], p[1]), q_scale * (p[0] + p[1])
-        idx = np.argmax(sinr if strategy is Strategy.WDT else q, axis=1)
-        picked = np.arange(len(idx))
-        sel_sinr, sel_q = sinr[picked, idx], q[picked, idx]
-        sel_rate = np.log2(1.0 + sel_sinr)
-        denom = base_power - n * sel_q
-        return (float(sel_rate.sum()), float(sel_q.sum()),
-                float((n * cfg.bandwidth * sel_rate / denom).sum()))
-
-    rate_sums, q_sums, ratio_sums = zip(*_blocks(cfg, trials, seed, cell, reduce))
-    mean_rate = math.fsum(rate_sums) / trials
-    mean_q = math.fsum(q_sums) / trials
-    sum_rate = n * cfg.bandwidth * mean_rate
-    harvested = n * mean_q
-    total_power = base_power - harvested
-    valid = total_power > 0.0
-    ee = sum_rate / total_power if valid else math.nan
-    return EnergyEfficiencyReport(
-        sum_rate=sum_rate,
-        harvested=harvested,
-        total_power=total_power,
-        ee=ee,
-        ee_mean_of_ratios=math.fsum(ratio_sums) / trials,
-        strategy=strategy,
-        valid=valid,
-    )
-
-
-def independence_diagnostic(
-    cfg: SystemConfig, trials: int, seed: int, cell: int = 0
-) -> IndependenceReport:
-    """Rank correlation between X+Y and X/Y on a single port.
-
-    At mu = 0 the two are exactly independent; the diagnostic passes when
-    |corr| < 3 / sqrt(trials).  Any mu is accepted for informational runs.
-    """
-    from scipy import stats  # slow to import, and only this diagnostic needs it
-
-    chunks = _blocks(replace(cfg, n_ports=1), trials, seed, cell, lambda p: p[:, :, 0].copy())
-    x, y = np.concatenate(chunks, axis=1)
-    corr = float(stats.spearmanr(x + y, x / y).statistic)
-    threshold = 3.0 / math.sqrt(trials)
-    return IndependenceReport(corr, threshold, abs(corr) < threshold, trials)

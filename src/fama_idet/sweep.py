@@ -210,7 +210,7 @@ _IDET_PARTS = (Metric.IDET_SPECIAL, Metric.WDT_SINR, Metric.WET_EHP)
 # One closed form per metric; each refuses Rician cells.  IDET_GENERAL's is
 # the addition law over its parts' closed forms, the first refusal raised.
 _CLOSED_FORM = {
-    Metric.WDT_SINR: lambda ctx: analytic.wdt_sinr_approx(ctx).theorem,
+    Metric.WDT_SINR: analytic.wdt_sinr_approx,
     Metric.WET_SINR: analytic.wet_sinr_approx,
     Metric.WDT_EHP: analytic.wdt_ehp_approx,
     Metric.WET_EHP: analytic.wet_ehp_approx,

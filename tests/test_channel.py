@@ -63,7 +63,7 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize("name", [
         "fa_size", "ps_ratio", "tx_power", "distance", "pathloss_exp", "sinr_threshold",
-        "ehp_threshold", "rician_k", "bandwidth", "fixed_power", "mu",
+        "ehp_threshold", "rician_k", "mu",
     ])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected_by_name(self, name, value):

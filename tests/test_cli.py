@@ -271,7 +271,7 @@ class TestRunSweep:
         parts = {
             "EXACT": (analytic.wdt_sinr_exact, analytic.wet_ehp_exact,
                       analytic.idet_special_exact),
-            "CLOSED_FORM": (lambda ctx: analytic.wdt_sinr_approx(ctx).theorem,
+            "CLOSED_FORM": (analytic.wdt_sinr_approx,
                             analytic.wet_ehp_approx, analytic.idet_special_approx),
         }
         for value in spec.values:

@@ -22,15 +22,13 @@ from fama_idet.channel import (
 from fama_idet.montecarlo import (
     _blocks,
     Metric,
-    Strategy,
-    estimate_energy_efficiency,
-    independence_diagnostic,
     los_phases,
     multiplexing_gains,
     simulate_outage_counts,
     substream,
     wilson_interval,
 )
+from test_acceptance import independence_diagnostic
 
 TRIALS = 40_000
 
@@ -81,20 +79,19 @@ class TestDeterminism:
 
     def test_non_integer_trials_rejected(self):
         # checked next to MIN_TRIALS in _blocks, ahead of any draw, for
-        # every entry point that samples
+        # every caller that samples
         for run in (lambda t: simulate_outage_counts(cfg_small(), t, seed=0),
                     lambda t: simulate_outage_counts(cfg_small(), t, seed=0, k_values=[1]),
-                    lambda t: estimate_energy_efficiency(cfg_small(), Strategy.WDT, t, seed=0),
-                    lambda t: independence_diagnostic(cfg_small(), t, seed=0)):
+                    lambda t: _blocks(cfg_small(), t, 0, 0, len)):
             with pytest.raises(ValueError, match="trials must be an integer, got 2000.0"):
                 run(2000.0)
         assert (simulate_outage_counts(cfg_small(), np.int64(2000), seed=0)["counts"]
                 == simulate_outage_counts(cfg_small(), 2000, seed=0)["counts"])
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs about half of the package's import time; only
-        # independence_diagnostic needs it, and it imports it when called.
-        # mpmath is blocked: building a cell (mu_from_w at W = 5) needs none
+        # scipy.stats costs about half of the package's import time, and no
+        # module of the package needs it.  mpmath is blocked: building a cell
+        # (mu_from_w at W = 5) needs none
         src = str(Path(fama_idet.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -141,16 +138,31 @@ class TestPinnedStream:
         assert [rician[m] for m in Metric] == [6263, 18377, 18485, 5445, 1464, 10244]
 
     def test_energy_efficiency(self, cpus):
+        # rate and harvest sums of one reduce over _blocks, picked by best SIR
+        # (WDT) or best harvest (WET), at bandwidth 1 MHz and fixed power 0.5 W
         cfg = SystemConfig(**self.CFG)
-        for strategy, want in (
-            (Strategy.WDT, (7231584.039065642, 0.08882475727874868, 3.411175242721251,
-                            2119968.4931157846, 2120540.715269391)),
-            (Strategy.WET, (2171464.0344830086, 0.2007358063347695, 3.2992641936652305,
-                            658166.1567607528, 658437.3372725524)),
+        n, q_scale = cfg.n_users, montecarlo._q_scale(cfg)
+        base_power = n * cfg.tx_power + 0.5
+        for wdt, want in (
+            (True, (7231584.039065642, 0.08882475727874868, 3.411175242721251,
+                    2119968.4931157846, 2120540.715269391)),
+            (False, (2171464.0344830086, 0.2007358063347695, 3.2992641936652305,
+                     658166.1567607528, 658437.3372725524)),
         ):
-            rep = estimate_energy_efficiency(cfg, strategy, self.TRIALS, seed=17, cell=5)
-            assert (rep.sum_rate, rep.harvested, rep.total_power, rep.ee,
-                    rep.ee_mean_of_ratios) == want
+            def reduce(p):
+                sinr, q = montecarlo._sinr(p[0], p[1]), q_scale * (p[0] + p[1])
+                idx = np.argmax(sinr if wdt else q, axis=1)
+                picked = np.arange(len(idx))
+                rate, sel_q = np.log2(1.0 + sinr[picked, idx]), q[picked, idx]
+                return (float(rate.sum()), float(sel_q.sum()),
+                        float((n * 1e6 * rate / (base_power - n * sel_q)).sum()))
+
+            rate_sums, q_sums, ratio_sums = zip(*_blocks(cfg, self.TRIALS, 17, 5, reduce))
+            sum_rate = n * 1e6 * (math.fsum(rate_sums) / self.TRIALS)
+            harvested = n * (math.fsum(q_sums) / self.TRIALS)
+            total_power = base_power - harvested
+            assert (sum_rate, harvested, total_power, sum_rate / total_power,
+                    math.fsum(ratio_sums) / self.TRIALS) == want
 
 
 class TestCountIdentities:
@@ -270,39 +282,11 @@ class TestEstimates:
         assert 0.0 <= gains.m_idet_general <= 4.0
 
 
-class TestEnergyEfficiency:
-    def test_report_consistency(self):
-        cfg = SystemConfig(n_users=3, n_ports=8, fa_size=1.0, distance=5.0)
-        rep = estimate_energy_efficiency(cfg, Strategy.WDT, TRIALS, seed=12)
-        assert rep.valid
-        assert rep.total_power == pytest.approx(
-            cfg.n_users * cfg.tx_power + cfg.fixed_power - rep.harvested, rel=1e-12
-        )
-        assert rep.ee == pytest.approx(rep.sum_rate / rep.total_power, rel=1e-12)
-        assert rep.ee > 0.0
-        assert rep.ee_mean_of_ratios > 0.0
-
-    def test_wdt_strategy_has_higher_rate(self):
-        cfg = SystemConfig(n_users=3, n_ports=8, fa_size=1.0, distance=5.0)
-        wdt = estimate_energy_efficiency(cfg, Strategy.WDT, TRIALS, seed=12)
-        wet = estimate_energy_efficiency(cfg, Strategy.WET, TRIALS, seed=12)
-        assert wdt.sum_rate >= wet.sum_rate
-        assert wet.harvested >= wdt.harvested
-
-
 class TestIndependenceDiagnostic:
     def test_independent_at_mu_zero(self):
-        cfg = cfg_small(n_users=5, mu=0.0)
-        rep = independence_diagnostic(cfg, 100_000, seed=21)
-        assert rep.threshold == pytest.approx(3.0 / math.sqrt(100_000))
-        assert rep.passed
-        assert abs(rep.rank_correlation) < rep.threshold
-
-    def test_report_fields(self):
-        cfg = cfg_small(n_users=5, mu=0.95)
-        rep = independence_diagnostic(cfg, 1000, seed=21)
-        assert rep.trials == 1000
-        assert rep.passed == (abs(rep.rank_correlation) < rep.threshold)
+        trials = 100_000
+        corr = independence_diagnostic(cfg_small(n_users=5, mu=0.0), trials, seed=21)
+        assert abs(corr) < 3.0 / math.sqrt(trials)
 
 
 class TestSamplerOracle:

@@ -91,6 +91,19 @@ class TestMarcumQ:
             want = stats.ncx2.sf(b[None, :] ** 2, 2 * order, a[:, None] ** 2)
             assert outer == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("b", [
+        30.0,   # 9.3e-24, to 1.3e-13
+        pytest.param(40.0, marks=pytest.mark.xfail(strict=True, reason=(
+            "reads 1.986e-89 against 3.897e-89 (-49%): the Poisson window follows "
+            "a alone and drops the terms of the tail far above a (ROADMAP item 13)"))),
+        pytest.param(45.0, marks=pytest.mark.xfail(strict=True, reason=(
+            "reads 1.750e-141 against 4.588e-138: the Poisson window follows a "
+            "alone and drops the terms of the tail far above a (ROADMAP item 13)"))),
+    ])
+    def test_upper_tail_far_above_a(self, b):
+        got = float(marcum_q_outer(1, [20.0], [b])[0, 0])
+        assert got == pytest.approx(stats.ncx2.sf(b * b, 2, 400.0), rel=1e-10, abs=0.0)
+
     def test_series_cap_raises(self, monkeypatch):
         # a^2/2 = 0.5 puts the Poisson window at k = 0..45: a cap of 46 terms
         # admits it, and one of 45 refuses it, naming its width
