@@ -8,10 +8,8 @@ approximations (:mod:`fama_idet.analytic`).
 """
 
 from .analytic import (
-    DEFAULT_QUAD,
     KernelContext,
     QuadratureConvergenceError,
-    QuadratureSpec,
     idet_general,
     idet_special_approx,
     idet_special_exact,
@@ -37,13 +35,11 @@ from .specfun import SeriesConvergenceError, mu_from_w
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_QUAD",
     "GainReport",
     "KernelContext",
     "Method",
     "Metric",
     "QuadratureConvergenceError",
-    "QuadratureSpec",
     "SeriesConvergenceError",
     "SystemConfig",
     "idet_general",

@@ -16,9 +16,9 @@ over all of its K values.
 Semi-infinite axes use Gauss rules built in numpy from their recurrences
 (_gauss_rule): Gauss-Laguerre after r = 2t for the conditioners, and a chi
 rule in u = sqrt(y) for WET_SINR's conditional-Y axis.  Finite inner ranges
-use Gauss-Legendre, and one driver runs each kernel with an optional
-Richardson check that re-evaluates at 1.5x nodes, every axis refined, to
-bound the truncation error, for each K on its own.  Marcum Q and the pdf
+use Gauss-Legendre.  One driver runs each kernel at _NODES and, as a
+Richardson check, at _RECHECK_NODES (every axis 1.5x), and gates each K's
+gap on its own by the absolute _ABS_GAP_GATE.  Marcum Q and the pdf
 beyond 2 dof come as node grids from specfun's Poisson mixtures, contracted
 by BLAS products; the 3-D WET_SINR kernel builds its grids, the pdf of its
 conditional Y included, in z-slabs on a thread per CPU.  The
@@ -45,12 +45,17 @@ from .specfun import _flushed_exp, _ncx2_pdf_on, bessel_i_ln, marcum_q_outer
 
 # Inner kernels are clamped here before K*log(.) so the K-th power stays finite.
 _FLOOR = 1e-300
-# Per-axis node cap, also on the Richardson refinement (1.5x): it bounds the
-# time of the 3-D WET_SINR kernel, whose memory the slabs below bound.
-_MAX_NODES = 100
+# The node rounds, (semi-infinite, finite) nodes per axis: each value is
+# evaluated at _NODES and re-checked at _RECHECK_NODES, every axis 1.5x.
+_NODES = (48, 64)
+_RECHECK_NODES = (72, 96)
+# The Richardson gate: the largest absolute gap between the two rounds, and
+# how far outside [0, 1] a value may stray before clamping.
+_ABS_GAP_GATE = 1e-5
+# How far IDET_SPECIAL may exceed min(WDT_SINR, WET_EHP) in idet_general.
+_FRECHET_TOL = 1e-6
 # b-values one z-slab of _wet_sinr_raw hands marcum_q_outer, which bounds its
-# Marcum grid and Poisson term table: 6 slabs at the default 48 x 64 nodes,
-# 12 at their 72 x 96 refinement.
+# Marcum grid and Poisson term table: 6 slabs at _NODES, 12 at _RECHECK_NODES.
 _SLAB_B_VALUES = 2 ** 11
 
 
@@ -60,23 +65,9 @@ class QuadratureConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and tolerance for the exact evaluators."""
+    """Whether the exact evaluators re-check each value at _RECHECK_NODES."""
 
-    nodes_semiinfinite: int = 48
-    nodes_finite: int = 64
-    rel_tol_target: float = 1e-6
     richardson_check: bool = True
-
-    def __post_init__(self):
-        if not all(8 <= c <= _MAX_NODES for c in (self.nodes_semiinfinite, self.nodes_finite)):
-            raise ValueError(f"node counts must lie in [8, {_MAX_NODES}] (cost guard)")
-        if self.richardson_check and self.nodes_semiinfinite == self.nodes_finite == _MAX_NODES:
-            # the refinement is capped at the same nodes, so it could only read a gap of 0
-            raise ValueError(f"the Richardson check needs room to refine: with both node "
-                             f"counts at the cap of {_MAX_NODES} it would re-evaluate the "
-                             f"same nodes; lower one or set richardson_check=False")
-        if not 0.0 < self.rel_tol_target < 1.0:
-            raise ValueError("rel_tol_target must be in (0, 1)")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -254,13 +245,12 @@ def _conditioners(ctx: KernelContext, ns: int):
 
 
 def _with_richardson(raw, ctx: KernelContext, quad: QuadratureSpec, name: str, ks) -> list:
-    """Evaluate raw(ctx, ns, nf, ks) and, if asked, again at 1.5x nodes; then
-    check (NaN fails) and clamp each K's value on its own.  A K that fails
-    gets its QuadratureConvergenceError in place of its value."""
-    ns, nf, tol = quad.nodes_semiinfinite, quad.nodes_finite, 10.0 * quad.rel_tol_target
-    coarse = raw(ctx, ns, nf, ks)
-    fine = (raw(ctx, min(math.ceil(1.5 * ns), _MAX_NODES), min(math.ceil(1.5 * nf), _MAX_NODES), ks)
-            if quad.richardson_check else coarse)
+    """Evaluate raw(ctx, ns, nf, ks) at _NODES and, if asked, at _RECHECK_NODES;
+    then check (NaN fails) and clamp each K's value on its own.  A K that
+    fails gets its QuadratureConvergenceError in place of its value."""
+    tol = _ABS_GAP_GATE
+    coarse = raw(ctx, *_NODES, ks)
+    fine = raw(ctx, *_RECHECK_NODES, ks) if quad.richardson_check else coarse
 
     def checked(val, refined):
         if quad.richardson_check:
@@ -583,14 +573,12 @@ def idet_special_approx(ctx: KernelContext) -> float:
     return wdt_sinr_approx(ctx) * wet_ehp_approx(ctx)
 
 
-def idet_general(wdt: float, wet: float, special: float, tol: float = 1e-6) -> float:
+def idet_general(wdt: float, wet: float, special: float) -> float:
     """Union outage by the addition law; inputs must be Frechet-consistent."""
     for name, p in (("wdt", wdt), ("wet", wet), ("special", special)):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} outage {p} outside [0, 1]")
-    if special > min(wdt, wet) + tol:
-        raise ValueError(
-            f"special outage {special} exceeds min(wdt, wet) = {min(wdt, wet)} "
-            f"beyond tolerance {tol}"
-        )
+    if special > min(wdt, wet) + _FRECHET_TOL:
+        raise ValueError(f"special outage {special} exceeds min(wdt, wet) = {min(wdt, wet)} "
+                         f"beyond tolerance {_FRECHET_TOL}")
     return min(max(wdt + wet - special, 0.0), 1.0)

@@ -132,6 +132,13 @@ class SweepSpec:
         # each cell derives its own mu, so a base mu other than the derived one was set
         if self.axis == "fa_size" and self.base.mu != mu_from_w(self.base.fa_size):
             raise ConfigError("mu is set, so sweeping fa_size would change nothing; drop mu")
+        # (metric, method) and the axis label key the rows, so each must be distinct
+        pairs = [f"{m.value}:{meth.value}" for m, meth in self.metrics]
+        labels = [f"{v:.12g}" for v in self.values]
+        for key, seen in (("sweep.metrics", pairs), ("sweep.values", labels)):
+            twice = [x for i, x in enumerate(seen) if x in seen[:i]]
+            if twice:
+                raise ConfigError(f"{key} lists {twice[0]} more than once")
         # constructing each cell validates values against the field invariants
         for v in self.values:
             self.cell_config(v)

@@ -149,6 +149,39 @@ class TestConfigParsing:
         assert (Metric.WET_EHP, Method.EXACT) in spec.metrics
 
 
+class TestRepeatedRowKeys:
+    """(metric, method) and the axis label key the rows, so a sweep that would
+    print two rows under one key is refused before anything runs."""
+
+    @pytest.mark.parametrize("text, want", [
+        (_with_metrics("WDT_SINR:EXACT, WDT_SINR:EXACT, wdt_sinr:exact"),
+         "sweep.metrics lists WDT_SINR:EXACT more than once"),
+        (_with_metrics("WET_EHP, WDT_SINR:EXACT, WET_EHP:MC"),   # MC by default
+         "sweep.metrics lists WET_EHP:MC more than once"),
+        (BASE_CFG.replace("sweep.axis = sinr_threshold", "sweep.axis = ehp_threshold")
+         .replace("0 dB, 3 dB", "10 mW, 10 mW"), "sweep.values lists 0.01 more than once"),
+        # distinct values, one label: f"{v:.12g}" reads 2 for both
+        (BASE_CFG.replace("0 dB, 3 dB", "2, 2.0000000000001"),
+         "sweep.values lists 2 more than once"),
+    ], ids=["metric", "default-method", "value", "label"])
+    def test_sweep_exits_1_naming_the_key(self, text, want, tmp_path, capsys):
+        assert main(["sweep", write_cfg(tmp_path, text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {want}\n"
+
+    def test_refused_in_library_code(self):
+        base = SystemConfig(n_users=2, n_ports=2)
+        pair = (Metric.WDT_SINR, Method.EXACT)
+        with pytest.raises(ConfigError, match="sweep.metrics lists WDT_SINR:EXACT"):
+            SweepSpec(base=base, axis="", values=[], metrics=[pair, pair])
+        with pytest.raises(ConfigError, match="sweep.values lists 3 more than once"):
+            SweepSpec(base=base, axis="n_ports", values=[3, 3.0], metrics=[pair])
+        # the same metric by two methods, and distinct labels, are two rows
+        SweepSpec(base=base, axis="n_ports", values=[3, 4],
+                  metrics=[pair, (Metric.WDT_SINR, Method.MC)])
+
+
 class TestRunSweep:
     def test_rows_and_determinism(self, tmp_path):
         spec = spec_from_config(BASE_CFG)
@@ -691,13 +724,14 @@ class TestCompare:
         assert all(line.passed for line in report)
 
     def test_each_cell_judged_by_its_own_outcomes(self):
-        # two cells at one threshold share an axis label, but each draws its
-        # MC count from its own substream
-        spec = spec_from_config(BASE_CFG.replace("0 dB, 3 dB", "3 dB, 3 dB"), trials=2000)
-        mc = [float(r["value"]) for r in run_sweep(spec).rows
-              if r["metric"] == "WDT_SINR" and r["method"] == "MC"]
-        assert mc[0] != mc[1]
-        assert [line.mc for line in compare(spec) if line.metric == "WDT_SINR"] == mc
+        # each cell draws its MC count from its own substream, and compare
+        # reads each cell's own; two cells under one axis label are refused
+        # (TestRepeatedRowKeys)
+        spec = spec_from_config(BASE_CFG, trials=2000)
+        rows = [(r["axis"], float(r["value"])) for r in run_sweep(spec).rows
+                if r["metric"] == "WDT_SINR" and r["method"] == "MC"]
+        assert rows[0][1] != rows[1][1]
+        assert [(line.axis, line.mc) for line in compare(spec) if line.metric == "WDT_SINR"] == rows
 
     def test_exact_between_the_interval_and_twice_its_z_fails(self, monkeypatch):
         # the interval is the Wilson one at z = 3 * 1.96: an EXACT value

@@ -253,6 +253,34 @@ class TestNestedSweeps:
             simulate_outage_counts(cfg, 1000, seed=0, **nested)
 
 
+class TestThresholdMonotone:
+    """The thresholds do not enter the draw, so at one (seed, cell) every
+    count that tests a threshold is pathwise monotone in it, exactly."""
+
+    CELLS = [dict(n_users=3, n_ports=8), dict(n_users=4, n_ports=8, rician_k=2.0)]
+    # each axis's grid, the other threshold held where both events are common,
+    # and the metrics that test the swept threshold
+    AXES = {
+        "sinr_threshold": ([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0], {"ehp_threshold": 0.05},
+                           (Metric.WDT_SINR, Metric.WDT_EHP, Metric.IDET_SPECIAL,
+                            Metric.IDET_GENERAL)),
+        "ehp_threshold": ([0.01, 0.02, 0.03, 0.05, 0.07, 0.1, 0.2], {"sinr_threshold": 2.0},
+                          (Metric.WET_SINR, Metric.WET_EHP, Metric.IDET_SPECIAL,
+                           Metric.IDET_GENERAL)),
+    }
+
+    @pytest.mark.parametrize("cell", CELLS, ids=["rayleigh", "rician"])
+    @pytest.mark.parametrize("axis", list(AXES))
+    def test_counts_never_fall_as_the_threshold_rises(self, axis, cell):
+        values, fixed, metrics = self.AXES[axis]
+        counts = [simulate_outage_counts(cfg_small(**cell, **fixed, **{axis: v}), 5000,
+                                         seed=12, cell=3)["counts"] for v in values]
+        for metric in metrics:
+            got = [c[metric] for c in counts]
+            assert all(a <= b for a, b in zip(got, got[1:])), (metric, got)
+            assert got[0] < got[-1], (metric, got)   # the grid spans the outage's rise
+
+
 class TestEstimates:
     def test_wilson_half_width_of_counts(self):
         res = simulate_outage_counts(cfg_small(), TRIALS, seed=4)
