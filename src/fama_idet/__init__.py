@@ -24,23 +24,20 @@ from .analytic import (
 )
 from .channel import SystemConfig
 from .montecarlo import (
-    GainReport,
     Method,
     Metric,
     multiplexing_gains,
     simulate_outage_counts,
 )
-from .specfun import SeriesConvergenceError, mu_from_w
+from .specfun import mu_from_w
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GainReport",
     "KernelContext",
     "Method",
     "Metric",
     "QuadratureConvergenceError",
-    "SeriesConvergenceError",
     "SystemConfig",
     "idet_general",
     "idet_special_approx",

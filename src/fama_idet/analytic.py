@@ -18,17 +18,18 @@ Semi-infinite axes use Gauss rules built in numpy from their recurrences
 rule in u = sqrt(y) for WET_SINR's conditional-Y axis.  Finite inner ranges
 use Gauss-Legendre.  One driver runs each kernel at _NODES and, as a
 Richardson check, at _RECHECK_NODES (every axis 1.5x), and gates each K's
-gap on its own by the absolute _ABS_GAP_GATE.  Marcum Q and the pdf
-beyond 2 dof come as node grids from specfun's Poisson mixtures, contracted
-by BLAS products; the 3-D WET_SINR kernel builds its grids, the pdf of its
-conditional Y included, in z-slabs on a thread per CPU.  The
-WDT_SINR kernel and its closed form share one one-port series, a sum over
-N-1 Bessel orders (_order_weights).  Every exp whose result feeds a product
-(the 2-dof pdf, the K-th powers, the WDT_SINR Bessel sum) is specfun's
-_flushed_exp: results below the smallest normal double (2.2e-308) become 0,
-since numpy's exp and OpenBLAS are many times slower on subnormal doubles.
-The dropped terms enter with bounded weights, so no value above about
-1e-290 moves; the kernels clamp at _FLOOR = 1e-300 anyway.
+gap on its own by the absolute _ABS_GAP_GATE; a failed check raises
+specfun's QuadratureConvergenceError, as a Poisson window past its cap
+does.  Marcum Q and WET_SINR's conditional-Y pdf come as node grids from
+specfun's Poisson mixtures, contracted by BLAS products; the 3-D WET_SINR
+kernel builds its grids, that pdf included, in z-slabs on a thread per CPU.
+The WDT_SINR kernel and its closed form share one one-port series, a sum
+over N-1 Bessel orders (_order_weights).  Every exp whose result feeds a
+product (the 2-dof pdf, the K-th powers, the WDT_SINR Bessel sum) is
+specfun's _flushed_exp: results below the smallest normal double (2.2e-308)
+become 0, since numpy's exp and OpenBLAS are many times slower on subnormal
+doubles.  The dropped terms enter with bounded weights, so no value above
+about 1e-290 moves; the kernels clamp at _FLOOR = 1e-300 anyway.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ import numpy as np
 from scipy import special as sp
 
 from .channel import SystemConfig, _thread_map
-from .specfun import _flushed_exp, _ncx2_pdf_on, bessel_i_ln, marcum_q_outer
+from .specfun import (QuadratureConvergenceError, _flushed_exp, _ncx2_pdf_on, bessel_i_ln,
+                      marcum_q_outer)
 
 # Inner kernels are clamped here before K*log(.) so the K-th power stays finite.
 _FLOOR = 1e-300
@@ -57,10 +59,6 @@ _FRECHET_TOL = 1e-6
 # b-values one z-slab of _wet_sinr_raw hands marcum_q_outer, which bounds its
 # Marcum grid and Poisson term table: 6 slabs at _NODES, 12 at _RECHECK_NODES.
 _SLAB_B_VALUES = 2 ** 11
-
-
-class QuadratureConvergenceError(RuntimeError):
-    """Quadrature result failed the Richardson or range check."""
 
 
 @dataclass(frozen=True)
@@ -408,6 +406,8 @@ def wet_ehp_approx(ctx: KernelContext) -> float:
 # ---------------------------------------------------------------------------
 
 def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
+    """WET_SINR at each K > 1 of ks.  f_y, 2(N-1) dof, is specfun's mixture at every N;
+    f_x, 2 dof at x = z y over many decades, is _ncx2_pdf's closed form."""
     n, c, qh = ctx.n_users, ctx.corr_ratio, ctx.q_hat
     (v1, w1), (v2, w2) = _conditioners(ctx, ns)
     a1 = np.sqrt(c * v1)                            # desired-link Marcum parameter
@@ -437,11 +437,10 @@ def _wet_sinr_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
     ws = 2.0 * sy * ws0
     ygrid = qh / (1.0 + z)[:, None] * (sy ** 2)[None, :]   # (z, s)
 
-    # conditional Y pdf f_y, built per slab on one Poisson window taken from
-    # the whole (z, s) grid, so that the slab layout does not move the window
-    # (the i0e form at 2 dof beats the mixture at wide windows)
-    pdf_y = (_ncx2_pdf_on(n - 1, c * v2, float(ygrid.min()), float(ygrid.max())) if n > 2
-             else lambda y: _ncx2_pdf((c * v2)[:, None], y[None, :]))
+    # conditional Y pdf f_y, 2(N-1) dof at every N, built per slab on one
+    # Poisson window taken from the whole (z, s) grid, so that the slab
+    # layout does not move the window
+    pdf_y = _ncx2_pdf_on(n - 1, c * v2, float(ygrid.min()), float(ygrid.max()))
 
     def slab(zs: slice) -> list[np.ndarray]:
         """The (i, z) matrix of the integrand summed over j, for the z nodes

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,18 +49,9 @@ class Method(enum.Enum):
     CLOSED_FORM = "CLOSED_FORM"
 
 
-@dataclass(frozen=True)
-class GainReport:
-    m_wdt: float
-    m_wet: float
-    m_idet_special: float
-    m_idet_general: float
-
-
 def _stream(seed: int, *key: int) -> np.random.Generator:
     """SFC64 generator of `seed` under the SeedSequence spawn key `key`."""
-    return np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence(seed & 0xFFFF_FFFF_FFFF_FFFF, spawn_key=key)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def substream(seed: int, cell: int, block) -> np.random.Generator:
@@ -249,11 +239,7 @@ def wilson_interval(count: int, trials: int, z: float = 1.96) -> tuple[float, fl
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def multiplexing_gains(outages: dict, n_users: int) -> GainReport:
-    """N (1 - outage) for the four gain-bearing metrics, from outage rates per Metric."""
-    return GainReport(
-        m_wdt=n_users * (1.0 - outages[Metric.WDT_SINR]),
-        m_wet=n_users * (1.0 - outages[Metric.WET_EHP]),
-        m_idet_special=n_users * (1.0 - outages[Metric.IDET_SPECIAL]),
-        m_idet_general=n_users * (1.0 - outages[Metric.IDET_GENERAL]),
-    )
+def multiplexing_gains(outages: dict, n_users: int) -> dict:
+    """{Metric: N (1 - outage)} for the four gain-bearing metrics, from outage rates per Metric."""
+    return {m: n_users * (1.0 - outages[m])
+            for m in (Metric.WDT_SINR, Metric.WET_EHP, Metric.IDET_SPECIAL, Metric.IDET_GENERAL)}

@@ -35,8 +35,9 @@ _CHUNK_COLS = 128
 _MAX_W = 1e6
 
 
-class SeriesConvergenceError(RuntimeError):
-    """A truncated series failed to reach the requested tolerance."""
+class QuadratureConvergenceError(RuntimeError):
+    """The numerics cannot vouch for a value: a Poisson window wider than
+    _MAX_TERMS, or an exact evaluator's Richardson or range check failed."""
 
 
 def bessel_i_ln(n: int, x):
@@ -104,12 +105,12 @@ def _poisson_k_range(lam_min: float, lam_max: float) -> tuple[int, int]:
     Poisson law of mean lam has under 1e-30 of its mass on either side of
     it (tested up to the largest lam the cap admits, where the worse side
     reads 1.5e-33).  A window wider than _MAX_TERMS raises
-    SeriesConvergenceError."""
+    QuadratureConvergenceError."""
     k_hi = int(lam_max + 12.0 * math.sqrt(lam_max + 1.0) + 30.0)
     k_lo = max(0, int(lam_min - 12.0 * math.sqrt(lam_min + 1.0) - 30.0))
     if k_hi - k_lo + 1 > _MAX_TERMS:
-        raise SeriesConvergenceError(f"Poisson mixture needs {k_hi - k_lo + 1} "
-                                     f"terms, more than the cap of {_MAX_TERMS}")
+        raise QuadratureConvergenceError(f"Poisson mixture needs {k_hi - k_lo + 1} "
+                                         f"terms, more than the cap of {_MAX_TERMS}")
     return k_lo, k_hi
 
 
@@ -160,7 +161,7 @@ def marcum_q_outer(order: int, a, b) -> np.ndarray:
     + sum_j T_j pois(N + k_lo + j; x) with T_j = sum_{k > j} p_k: one gamma
     per b-value plus a product with the Poisson term table, with no
     cancellation; the window follows a alone, so far above a the upper tail
-    is truncated.  A window wider than _MAX_TERMS raises SeriesConvergenceError.
+    is truncated.  A window wider than _MAX_TERMS raises QuadratureConvergenceError.
     """
     if order < 1 or order != int(order):
         raise ValueError("order must be a positive integer")

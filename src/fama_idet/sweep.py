@@ -30,7 +30,7 @@ from . import analytic
 from .analytic import DEFAULT_QUAD, KernelContext, QuadratureConvergenceError
 from .channel import SystemConfig
 from .montecarlo import MIN_TRIALS, Method, Metric, simulate_outage_counts, wilson_interval
-from .specfun import SeriesConvergenceError, mu_from_w
+from .specfun import mu_from_w
 
 _INT_FIELDS = {"n_users", "n_ports"}
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SystemConfig)}
@@ -127,6 +127,8 @@ class SweepSpec:
             raise ConfigError("sweep.metrics must be nonempty")
         if self.trials < MIN_TRIALS and any(meth is Method.MC for _, meth in self.metrics):
             raise ConfigError(f"trials must be >= {MIN_TRIALS} for MC metrics, got {self.trials}")
+        if self.seed < 0:   # SeedSequence refuses it; every seed >= 0 keys its own streams
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         # each cell derives its own mu, so a base mu other than the derived one was set
@@ -227,7 +229,7 @@ _CLOSED_FORM = {
 
 
 def _error_kind(exc: Exception) -> str:
-    if isinstance(exc, (QuadratureConvergenceError, SeriesConvergenceError)):
+    if isinstance(exc, QuadratureConvergenceError):
         return "convergence"
     if isinstance(exc, ValueError):
         return "unsupported"

@@ -239,8 +239,8 @@ def test_criterion_5_trend_reproduction():
         gains.append(multiplexing_gains(
             {Metric.WDT_SINR: wdt, Metric.WET_EHP: wet, Metric.IDET_SPECIAL: special,
              Metric.IDET_GENERAL: idet_general(wdt, wet, special)}, n))
-    m_wdt = [g.m_wdt for g in gains]
-    m_wet = [g.m_wet for g in gains]
+    m_wdt = [g[Metric.WDT_SINR] for g in gains]
+    m_wet = [g[Metric.WET_EHP] for g in gains]
     inside = all(0.0 < e < 1.0 for e in eps_wdt + eps_wet)
     wdt_monotone = all(a < b for a, b in zip(eps_wdt, eps_wdt[1:]))
     wet_monotone = all(a > b for a, b in zip(eps_wet, eps_wet[1:]))

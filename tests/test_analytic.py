@@ -41,7 +41,7 @@ from fama_idet.analytic import (
 )
 from fama_idet.channel import SystemConfig
 from fama_idet.montecarlo import Metric, simulate_outage_counts, wilson_interval
-from fama_idet.specfun import SeriesConvergenceError, bessel_i_ln, marcum_q_outer, mu_from_w
+from fama_idet.specfun import bessel_i_ln, marcum_q_outer, mu_from_w
 
 
 def ctx_from(**kw):
@@ -162,10 +162,13 @@ class TestEdgeCases:
             fn(ctx_from(**SMALL, rician_k=2.0))
 
     def test_small_aperture_hits_series_cap(self):
-        # W = 0.05 needs a Marcum window of about 44k terms, past the cap:
-        # refused up front instead of building a gamma grid of gigabytes
-        with pytest.raises(SeriesConvergenceError, match="terms"):
-            wet_sinr_exact(ctx_from(n_users=5, n_ports=200, fa_size=0.05))
+        # W = 0.05 needs a Marcum window of about 44k terms (30k for
+        # WDT_SINR), past the cap: refused up front instead of building a
+        # gamma grid of gigabytes, with the error a failed Richardson gap raises
+        ctx = ctx_from(n_users=5, n_ports=200, fa_size=0.05)
+        for fn in (wet_sinr_exact, wdt_sinr_exact):
+            with pytest.raises(QuadratureConvergenceError, match="terms"):
+                fn(ctx)
 
     def test_richardson_gate_raises_when_unreachable(self, monkeypatch):
         monkeypatch.setattr(analytic, "_NODES", (8, 8))
@@ -659,7 +662,7 @@ class TestExactOrderings:
     def _value(fn, ctx):
         try:
             return fn(ctx)
-        except (QuadratureConvergenceError, SeriesConvergenceError):
+        except QuadratureConvergenceError:
             return None
 
     @given(w=st.floats(0.5, 8.0), n=st.integers(2, 8), k=st.integers(1, 200),
@@ -676,6 +679,24 @@ class TestExactOrderings:
                              (Metric.IDET_SPECIAL, Metric.WET_EHP)):
             if v[lower] is not None and v[upper] is not None:
                 assert v[lower] <= v[upper] + gate, (lower, upper, v)
+
+    @given(w=st.floats(0.5, 8.0), n=st.integers(2, 8),
+           log_gamma=st.floats(-1.0, 2.0), log_q=st.floats(-1.5, 1.5))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_non_increasing_in_k(self, w, n, log_gamma, log_q):
+        # more ports to choose from never hurts the best one, so these
+        # outages never rise with K; each call evaluates every K at once
+        ctx = KernelContext(mu=mu_from_w(w), gamma_th=10.0 ** log_gamma, q_hat=10.0 ** log_q,
+                            n_users=n, n_ports=200)
+        ports = (1, 2, 4, 8, 16, 64, 200)
+        for m in (Metric.WDT_SINR, Metric.WET_EHP, Metric.IDET_SPECIAL):
+            try:
+                got = EXACTS[m].over_ports(ctx, DEFAULT_QUAD, ports)
+            except QuadratureConvergenceError:
+                continue
+            kept = [(k, v) for k, v in zip(ports, got) if not isinstance(v, Exception)]
+            for (k, v), (k_next, v_next) in zip(kept, kept[1:]):
+                assert v_next <= v + analytic._ABS_GAP_GATE, (m, k, v, k_next, v_next)
 
 
 class TestGaussRules:

@@ -919,6 +919,20 @@ sweep.metrics = WET_EHP:MC, WET_EHP:EXACT, IDET_SPECIAL:MC, IDET_SPECIAL:EXACT
         assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
         assert not calls
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_1_before_any_pass(self, where, tmp_path, capsys, monkeypatch):
+        calls = _count_exact_calls(monkeypatch)
+        mc_calls = []
+        monkeypatch.setattr(sweep, "simulate_outage_counts",
+                            lambda *a, **kw: mc_calls.append(1))
+        if where == "flag":
+            argv = ["eval", write_cfg(tmp_path, PORT_SWEEP_CFG), "--seed", "-1"]
+        else:
+            argv = ["sweep", write_cfg(tmp_path, BASE_CFG.replace("seed = 7", "seed = -1"))]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not calls and not mc_calls
+
     def test_numerical_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG.replace(
             "sweep.metrics = WDT_SINR:MC, WDT_SINR:EXACT, "

@@ -59,6 +59,17 @@ class TestDeterminism:
         z = substream(1, 2, 4).standard_normal(8)
         assert not np.array_equal(x, z)
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            simulate_outage_counts(cfg_small(), TRIALS, seed=-1)
+
+    def test_seeds_apart_by_2_64_are_distinct_streams(self):
+        # a seed is not reduced modulo 2^64: 2^64 + 5 keys streams of its own
+        cfg = cfg_small()
+        a = simulate_outage_counts(cfg, TRIALS, seed=5)["counts"]
+        b = simulate_outage_counts(cfg, TRIALS, seed=2 ** 64 + 5)["counts"]
+        assert a != b
+
     def test_los_phases_fixed_per_seed(self):
         cfg = cfg_small(rician_k=2.0)
         p1 = los_phases(cfg, seed=9)
@@ -305,9 +316,11 @@ class TestEstimates:
         counts = simulate_outage_counts(cfg, TRIALS, seed=2)["counts"]
         outages = {m: counts[m] / TRIALS for m in Metric}
         gains = multiplexing_gains(outages, cfg.n_users)
-        assert gains.m_wdt == pytest.approx(4 * (1 - outages[Metric.WDT_SINR]))
-        assert gains.m_wet == pytest.approx(4 * (1 - outages[Metric.WET_EHP]))
-        assert 0.0 <= gains.m_idet_general <= 4.0
+        assert list(gains) == [Metric.WDT_SINR, Metric.WET_EHP,
+                               Metric.IDET_SPECIAL, Metric.IDET_GENERAL]
+        assert gains[Metric.WDT_SINR] == pytest.approx(4 * (1 - outages[Metric.WDT_SINR]))
+        assert gains[Metric.WET_EHP] == pytest.approx(4 * (1 - outages[Metric.WET_EHP]))
+        assert 0.0 <= gains[Metric.IDET_GENERAL] <= 4.0
 
 
 class TestIndependenceDiagnostic:

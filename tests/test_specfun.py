@@ -18,7 +18,7 @@ from scipy import stats
 
 from fama_idet import specfun
 from fama_idet.specfun import (
-    SeriesConvergenceError,
+    QuadratureConvergenceError,
     bessel_i_ln,
     marcum_q_outer,
     mu_from_w,
@@ -111,13 +111,13 @@ class TestMarcumQ:
         assert specfun._poisson_k_range(0.5, 0.5) == (0, 45)
         marcum_q_outer(1, [1.0], [1.0])
         monkeypatch.setattr(specfun, "_MAX_TERMS", 45)
-        with pytest.raises(SeriesConvergenceError, match="needs 46 terms"):
+        with pytest.raises(QuadratureConvergenceError, match="needs 46 terms"):
             marcum_q_outer(1, [1.0], [1.0])
 
     def test_wide_window_hits_series_cap(self):
         # a^2/2 = 80000 puts the Poisson window at 83,425 terms, past the
         # cap at the default constants
-        with pytest.raises(SeriesConvergenceError, match="83425 terms"):
+        with pytest.raises(QuadratureConvergenceError, match="83425 terms"):
             marcum_q_outer(1, [0.0, 400.0], [1.0])
 
     @staticmethod
@@ -221,7 +221,7 @@ def _largest_admitted_lam():
         try:
             specfun._poisson_k_range(mid, mid)
             lo = mid
-        except SeriesConvergenceError:
+        except QuadratureConvergenceError:
             hi = mid
     return lo
 
@@ -239,7 +239,7 @@ class TestPoissonWindow:
         assert 171_525.0 < self.LAM_CAP < 171_527.0
         k_lo, k_hi = specfun._poisson_k_range(self.LAM_CAP, self.LAM_CAP)
         assert k_hi - k_lo + 1 == specfun._MAX_TERMS
-        with pytest.raises(SeriesConvergenceError, match="10001 terms"):
+        with pytest.raises(QuadratureConvergenceError, match="10001 terms"):
             specfun._poisson_k_range(self.LAM_CAP + 0.01, self.LAM_CAP + 0.01)
 
     @staticmethod
