@@ -86,16 +86,16 @@ class KernelContext:
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError("mu must lie in [0, 1]")
         # each check is written to fail on NaN; q_hat may be +inf (ps_ratio = 1)
-        if not self.gamma_th > 0.0:
-            raise ValueError("gamma_th must be positive")
+        if not 0.0 < self.gamma_th < math.inf:
+            raise ValueError("gamma_th must be positive and finite")
         if not self.q_hat >= 0.0:
             raise ValueError("q_hat must be nonnegative")
         for name, lo in (("n_users", 2), ("n_ports", 1)):
             value = getattr(self, name)
             if not (isinstance(value, (int, np.integer)) and value >= lo):
                 raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
-        if not self.rician_k >= 0.0:
-            raise ValueError("rician_k must be nonnegative")
+        if not 0.0 <= self.rician_k < math.inf:
+            raise ValueError("rician_k must be nonnegative and finite")
 
     @classmethod
     def from_config(cls, cfg: SystemConfig) -> "KernelContext":
@@ -230,8 +230,15 @@ def _rayleigh_only(ctx: KernelContext, name: str) -> None:
 
 
 def _check_mu(ctx: KernelContext, name: str) -> None:
-    if not 0.0 < ctx.mu < 1.0:
+    if not (ctx.mu ** 2 > 0.0 and ctx.mu < 1.0):   # the conditioners divide by mu^2
         raise ValueError(f"{name} requires mu in (0, 1)")
+
+
+def _out_of_reach(ctx: KernelContext, ks) -> bool:
+    """Whether K P(X + Y >= q_hat) <= _FLOOR at every K of ks.  Under Rayleigh
+    a port's X + Y is chi2(2N) / (1 - mu^2), and K P(X + Y >= q_hat) bounds
+    both 1 - WET_SINR and WDT_SINR - IDET_SPECIAL."""
+    return max(ks) * sp.gammaincc(ctx.n_users, 0.5 * ctx.q_tilde) <= _FLOOR
 
 
 def _conditioners(ctx: KernelContext, ns: int):
@@ -341,7 +348,7 @@ def wdt_sinr_approx(ctx: KernelContext) -> float:
     _rayleigh_only(ctx, "wdt_sinr_approx")
     n, kp, g, mu2 = ctx.n_users, ctx.n_ports, ctx.gamma_th, ctx.mu ** 2
     d = (1.0 - mu2) * g + 1.0
-    c_sum = sum(g ** m * (g + 1.0) * b_m * mu2 ** m / d ** (m + 1)
+    c_sum = sum((g / d) ** m * ((g + 1.0) / d) * b_m * mu2 ** m     # finite at any g
                 for m, b_m in enumerate(_order_weights(n, g)))
     cval = (((2.0 * g * (1.0 - mu2) + 1.0) / (2.0 * g * g + (3.0 - mu2) * g + 1.0)) ** (n - 1)
             * (1.0 - mu2) * c_sum)
@@ -385,7 +392,7 @@ def wet_ehp_approx(ctx: KernelContext) -> float:
     expansion of the K-port product; its leading term is
     K*s ~ K * Gamma_upper(N, q_hat/2). It is valid only while K*s << 1,
     i.e. at large thresholds; for K*s >~ 1 the value clamps to 0, which is
-    no estimate of the outage.
+    no estimate of the outage.  Its series, in Kummer's form, stays finite at any q_hat.
     """
     _rayleigh_only(ctx, "wet_ehp_approx")
     n, kp, mu2, qh = ctx.n_users, ctx.n_ports, ctx.mu ** 2, ctx.q_hat
@@ -394,10 +401,11 @@ def wet_ehp_approx(ctx: KernelContext) -> float:
     if math.isinf(qh):
         return 1.0
     h = qh / 2.0
+    # e^-h M(l+1, N+1, mu^2 h) = e^-(1-mu^2)h M(N-l, N+1, -mu^2 h), A&S 13.1.27
     series = sum(
-        (1.0 - mu2) ** l * sp.hyp1f1(l + 1, n + 1, mu2 * h) for l in range(n)
+        (1.0 - mu2) ** l * sp.hyp1f1(n - l, n + 1, -mu2 * h) for l in range(n)
     )
-    third = kp * mu2 * math.exp(n * math.log(h) - h - sp.gammaln(n + 1)) * series
+    third = kp * mu2 * math.exp(n * math.log(h) - (1.0 - mu2) * h - sp.gammaln(n + 1)) * series
     return max(0.0, 1.0 - kp * sp.gammaincc(n, h) - third)
 
 
@@ -486,7 +494,7 @@ def wet_sinr_exact(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     _rayleigh_only(ctx, "wet_sinr_exact")
     if ctx.q_hat == 0.0:
         return [0.0] * len(ks)
-    if math.isinf(ctx.q_hat):
+    if _out_of_reach(ctx, ks):
         return [1.0] * len(ks)
     # single port: the selection conditioning is vacuous, so K = 1 takes the WET_EHP kernel
     multi, out = tuple(k for k in ks if k > 1), {}
@@ -554,12 +562,14 @@ def _idet_special_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
 
 @_at_n_ports
 def idet_special_exact(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
-    """Probability every port fails the SIR and the harvest test jointly."""
+    """Probability every port fails the SIR and the harvest test jointly.
+
+    Where no port reaches q_hat (_out_of_reach) it is the WDT_SINR outage."""
     _check_mu(ctx, "idet_special_exact")
     _rayleigh_only(ctx, "idet_special_exact")
     if ctx.q_hat == 0.0:
         return [0.0] * len(ks)
-    if math.isinf(ctx.q_hat):
+    if _out_of_reach(ctx, ks):
         return wdt_sinr_exact.over_ports(ctx, quad, ks)
     return _with_richardson(_idet_special_raw, ctx, quad, "idet_special_exact", ks)
 

@@ -5,9 +5,9 @@ sweeps replace one SystemConfig field per cell (an fa_size cell derives its
 mu from its W).  A sweep runs as passes in the calling process: one over all
 the K of an n_ports axis, else one per cell.  Each method maps a metric to
 one outcome per cell: MC counts all six in one simulation at the largest K;
-the closed forms run at each cell's K; EXACT makes one evaluator call per
-distinct kernel input over the whole sweep, so a gamma sweep runs WET_SINR
-once.  The last two compose IDET_GENERAL from its parts by the addition law.
+EXACT and the closed forms make one call per distinct kernel input over the
+whole sweep, so a gamma sweep runs WET_SINR once, and both compose
+IDET_GENERAL from their parts' outcomes by the addition law.
 MC substreams are keyed by (seed, pass key, block), the key being the cell
 index or 0 for an n_ports pass, so no result depends on the threads that
 run the MC blocks and WET_SINR slabs.
@@ -195,9 +195,8 @@ def spec_from_config(
 
 # One exact evaluator per metric, for Rayleigh and Rician cells alike; each
 # reads ctx.rician_k and refuses it where it has no Rician expression.  A pass
-# over several K calls each evaluator's .over_ports.  A pass at one K calls
-# the evaluator itself, though the values are equal to the bit, only because
-# bench/tracing.py rebinds this table by name.
+# at one K calls the evaluator itself, not its .over_ports, though the values
+# are equal to the bit, because bench/tracing.py rebinds this table by name.
 _EXACT_RAYLEIGH = {
     Metric.WDT_SINR: analytic.wdt_sinr_exact,
     Metric.WET_SINR: analytic.wet_sinr_exact,
@@ -206,25 +205,24 @@ _EXACT_RAYLEIGH = {
     Metric.IDET_SPECIAL: analytic.idet_special_exact,
 }
 
-# The KernelContext thresholds each evaluator reads besides mu, n_users and
-# rician_k; with the K tuple they key a sweep's EXACT outcomes, so a threshold
-# left out must not move a bit of the value (TestExactMemo checks each).
-_EXACT_READS = {Metric.WDT_SINR: ("gamma_th",), Metric.WET_SINR: ("q_hat",),
-                Metric.WDT_EHP: ("gamma_th",), Metric.WET_EHP: ("q_hat",),
-                Metric.IDET_SPECIAL: ("gamma_th", "q_hat")}
+# The KernelContext thresholds each evaluator and closed form reads besides
+# mu, n_users and rician_k; with the method and the K tuple they key a sweep's
+# analytic outcomes, so a threshold left out must not move a bit of the value
+# (TestExactMemo checks each).
+_READS = {Metric.WDT_SINR: ("gamma_th",), Metric.WET_SINR: ("q_hat",),
+          Metric.WDT_EHP: ("gamma_th",), Metric.WET_EHP: ("q_hat",),
+          Metric.IDET_SPECIAL: ("gamma_th", "q_hat")}
 
 # IDET_GENERAL's parts, in the order it is composed from them
 _IDET_PARTS = (Metric.IDET_SPECIAL, Metric.WDT_SINR, Metric.WET_EHP)
 
-# One closed form per metric; each refuses Rician cells.  IDET_GENERAL's is
-# the addition law over its parts' closed forms, the first refusal raised.
+# One closed form per metric but IDET_GENERAL; each refuses Rician cells
 _CLOSED_FORM = {
     Metric.WDT_SINR: analytic.wdt_sinr_approx,
     Metric.WET_SINR: analytic.wet_sinr_approx,
     Metric.WDT_EHP: analytic.wdt_ehp_approx,
     Metric.WET_EHP: analytic.wet_ehp_approx,
     Metric.IDET_SPECIAL: analytic.idet_special_approx,
-    Metric.IDET_GENERAL: lambda ctx: _idet_general(*(_CLOSED_FORM[m](ctx) for m in _IDET_PARTS)),
 }
 
 
@@ -258,15 +256,16 @@ def _idet_general(special, wdt, wet):
         return exc
 
 
-def _exact(cfg: SystemConfig, ks: list, m: Metric, memo: dict) -> list:
-    """m's EXACT outcome at each K of ks, from one evaluator call per distinct
-    kernel input: `memo` keeps each input's outcomes, a refusal included.
-    IDET_GENERAL evaluates its parts in order until one fails at every K, so
-    a Rician cell stops at IDET_SPECIAL."""
+def _analytic(method: Method, cfg: SystemConfig, ks: list, m: Metric, memo: dict) -> list:
+    """m's outcome by the analytic `method` at each K of ks, from one call
+    per distinct kernel input: `memo` keeps each input's outcomes, a refusal
+    included.  Over several K, EXACT calls .over_ports and a closed form runs
+    at each K.  IDET_GENERAL evaluates its parts in order until one fails at
+    every K, so a Rician cell stops at IDET_SPECIAL."""
     if m is Metric.IDET_GENERAL:
         parts = []
         for part in _IDET_PARTS:
-            parts.append(_exact(cfg, ks, part, memo))
+            parts.append(_analytic(method, cfg, ks, part, memo))
             if all(isinstance(v, Exception) for v in parts[-1]):
                 return parts[-1]
         return [_idet_general(*at_k) for at_k in zip(*parts)]
@@ -274,30 +273,27 @@ def _exact(cfg: SystemConfig, ks: list, m: Metric, memo: dict) -> list:
         ctx = KernelContext.from_config(cfg)
     except ValueError as exc:   # no kernel input to key on (q_hat at mu = 1)
         return [exc] * len(ks)
-    key = (m, tuple(ks), ctx.mu, ctx.n_users, ctx.rician_k,
-           *(getattr(ctx, f) for f in _EXACT_READS[m]))
+    key = (method, m, tuple(ks), ctx.mu, ctx.n_users, ctx.rician_k,
+           *(getattr(ctx, f) for f in _READS[m]))
     if key not in memo:
+        fn = (_EXACT_RAYLEIGH if method is Method.EXACT else _CLOSED_FORM)[m]
         try:
-            memo[key] = ([_EXACT_RAYLEIGH[m](ctx)] if len(ks) == 1
-                         else _EXACT_RAYLEIGH[m].over_ports(ctx, DEFAULT_QUAD, tuple(ks)))
+            if len(ks) == 1:
+                memo[key] = [fn(ctx)]
+            elif method is Method.EXACT:
+                memo[key] = fn.over_ports(ctx, DEFAULT_QUAD, tuple(ks))
+            else:
+                memo[key] = [fn(dataclasses.replace(ctx, n_ports=k)) for k in ks]
         except Exception as exc:    # a guard refuses every K alike
             memo[key] = [exc] * len(ks)
     return memo[key]
 
 
-def _closed_form(cfg: SystemConfig, m: Metric):
-    try:
-        return _CLOSED_FORM[m](KernelContext.from_config(cfg))
-    except Exception as exc:
-        return exc
-
-
 def _run_pass(spec: SweepSpec, key: int, values: list, memo: dict) -> tuple[list, dict]:
     """One pass over the cells of `values`: per cell, a map from (metric,
     method) to a count, a value or the exception raised; and each method's
-    seconds over the pass.  MC runs once and EXACT once per metric at the
-    largest K (unless the sweep's `memo` holds it); the closed forms at each
-    cell's K."""
+    seconds over the pass.  MC runs once at the largest K; each analytic
+    metric once per input the sweep's `memo` does not hold yet."""
     cfgs = [spec.cell_config(v) for v in values]
     ks = [cfg.n_ports for cfg in cfgs]
     top = max(cfgs, key=lambda cfg: cfg.n_ports)
@@ -314,10 +310,8 @@ def _run_pass(spec: SweepSpec, key: int, values: list, memo: dict) -> tuple[list
                 per_cell = {m: [int(count) for count in nested[m]] for m in metrics}
             except Exception as exc:    # recorded in-row, so the sweep keeps running
                 per_cell = {m: [exc] * len(cfgs) for m in metrics}
-        elif method is Method.EXACT:
-            per_cell = {m: _exact(top, ks, m, memo) for m in metrics}
         else:
-            per_cell = {m: [_closed_form(cfg, m) for cfg in cfgs] for m in metrics}
+            per_cell = {m: _analytic(method, top, ks, m, memo) for m in metrics}
         for m, got in per_cell.items():
             for out, v in zip(outcomes, got):
                 out[(m, method)] = v

@@ -136,12 +136,27 @@ class TestEdgeCases:
     def test_mu_bounds_rejected(self):
         # the mu guard runs before the q_hat = 0 and q_hat = inf shortcuts,
         # so every q_hat must still raise, naming the evaluator
-        for mu in (0.0, 1.0):
+        # (mu = 1e-200 squares to 0, which the conditioners divide by)
+        for mu in (0.0, 1e-200, 1.0):
             for q_hat in (1.0, 0.0, math.inf):
                 ctx = KernelContext(mu=mu, gamma_th=2.0, q_hat=q_hat, n_users=2, n_ports=2)
                 for fn in EXACTS.values():
                     with pytest.raises(ValueError, match=f"{fn.__name__} requires mu"):
                         fn(ctx)
+
+    def test_out_of_reach_rule(self):
+        # where K P(X + Y >= q_hat) <= 1e-300 no port reaches q_hat: the joint
+        # outage is the SIR outage and WET_SINR is 1.  The kernels do not
+        # resolve this: IDET_SPECIAL's gives 6.7e-19 and 4.7e-250 at 3 and
+        # 10 km and fails its check at 1 km, and WET_SINR's fails at 3 and
+        # 10 km and at q_hat = 1e6
+        cell = dict(n_users=3, n_ports=8, fa_size=2.0, ehp_threshold=0.010)
+        wdt = wdt_sinr_exact(ctx_from(**cell))
+        for distance in (1000.0, 3000.0, 10_000.0):
+            ctx = ctx_from(**cell, distance=distance)
+            assert idet_special_exact(ctx) == wdt and wet_sinr_exact(ctx) == 1.0
+        assert wet_sinr_exact(KernelContext(mu=mu_from_w(5.0), gamma_th=2.0, q_hat=1e6,
+                                            n_users=5, n_ports=200)) == 1.0
 
     def test_unchecked_quadrature_near_default(self):
         # the benchmark's trace mode times each evaluator without the 1.5x
@@ -273,6 +288,18 @@ class TestClosedForms:
         ctx = ctx_from(**cfg)
         wet = wet_sinr_exact(ctx)
         assert wet_sinr_approx(ctx) == pytest.approx(wet, rel=0.02)
+
+    @pytest.mark.parametrize("q_hat", [3e4, 1e6])
+    def test_wet_ehp_approx_is_one_far_out(self, q_hat):
+        # far out e^-h is 0 and M(l+1, N+1, mu^2 h) is inf: Kummer's form
+        # keeps both factors finite, so the outage reaches 1 (not NaN, clamped to 0)
+        ctx = KernelContext(mu=mu_from_w(2.0), gamma_th=2.0, q_hat=q_hat, n_users=3, n_ports=8)
+        assert wet_ehp_approx(ctx) == 1.0
+
+    def test_wdt_sinr_approx_is_one_at_1000_db(self):
+        # g^m and d^(m+1) overflow on their own; their ratios stay finite
+        ctx = KernelContext(mu=mu_from_w(2.0), gamma_th=1e100, q_hat=3.0, n_users=8, n_ports=8)
+        assert wdt_sinr_approx(ctx) == 1.0
 
     def test_wdt_ehp_approx_formula(self):
         ctx = ctx_from(**SMALL, sinr_threshold=3.0)
@@ -458,6 +485,13 @@ class TestContext:
         kw = dict(mu=0.5, gamma_th=1.0, q_hat=1.0, n_users=2, n_ports=2, rician_k=0.0)
         with pytest.raises(ValueError, match=field):
             KernelContext(**{**kw, field: math.nan})
+
+    @pytest.mark.parametrize("field", ["gamma_th", "rician_k"])
+    def test_infinite_rejected(self, field):
+        # only q_hat may be +inf; the kernels read inf gamma_th or rician_k as NaN
+        kw = dict(mu=0.5, gamma_th=1.0, q_hat=1.0, n_users=2, n_ports=2, rician_k=0.0)
+        with pytest.raises(ValueError, match=f"{field} must be .* finite"):
+            KernelContext(**{**kw, field: math.inf})
 
     def test_infinite_q_hat_allowed(self):
         # ps_ratio = 1 sends every harvest to the decoder: q_hat = +inf
@@ -666,7 +700,7 @@ class TestExactOrderings:
             return None
 
     @given(w=st.floats(0.5, 8.0), n=st.integers(2, 8), k=st.integers(1, 200),
-           log_gamma=st.floats(-1.0, 2.0), log_q=st.floats(-1.5, 1.5))
+           log_gamma=st.floats(-1.0, 2.0), log_q=st.floats(-1.5, 6.0))
     @settings(max_examples=25, deadline=None, derandomize=True)
     def test_orderings(self, w, n, k, log_gamma, log_q):
         ctx = KernelContext(mu=mu_from_w(w), gamma_th=10.0 ** log_gamma, q_hat=10.0 ** log_q,
@@ -679,6 +713,28 @@ class TestExactOrderings:
                              (Metric.IDET_SPECIAL, Metric.WET_EHP)):
             if v[lower] is not None and v[upper] is not None:
                 assert v[lower] <= v[upper] + gate, (lower, upper, v)
+        # the joint outage is no less than the union bound lets it be
+        joint = (v[Metric.IDET_SPECIAL], v[Metric.WDT_SINR], v[Metric.WET_EHP])
+        if None not in joint:
+            assert joint[0] >= joint[1] + joint[2] - 1.0 - gate, v
+
+    @given(w=st.floats(0.5, 8.0), n=st.integers(2, 8), k=st.integers(1, 200),
+           log_t=st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=2))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_non_decreasing_in_gamma(self, w, n, k, log_t):
+        # a higher SIR threshold fails every port it failed before
+        ctx = KernelContext(mu=mu_from_w(w), gamma_th=1.0, q_hat=5.0, n_users=n, n_ports=k)
+        self._check_rises(ctx, "gamma_th", log_t,
+                          (Metric.WDT_SINR, Metric.WDT_EHP, Metric.IDET_SPECIAL))
+
+    @given(w=st.floats(0.5, 8.0), n=st.integers(2, 8), k=st.integers(1, 200),
+           log_t=st.lists(st.floats(-1.5, 6.0), min_size=2, max_size=2))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_non_decreasing_in_q_hat(self, w, n, k, log_t):
+        # a higher harvest threshold fails every port it failed before
+        ctx = KernelContext(mu=mu_from_w(w), gamma_th=2.0, q_hat=1.0, n_users=n, n_ports=k)
+        self._check_rises(ctx, "q_hat", log_t,
+                          (Metric.WET_SINR, Metric.WET_EHP, Metric.IDET_SPECIAL))
 
     @given(w=st.floats(0.5, 8.0), n=st.integers(2, 8),
            log_gamma=st.floats(-1.0, 2.0), log_q=st.floats(-1.5, 1.5))
@@ -697,6 +753,17 @@ class TestExactOrderings:
             kept = [(k, v) for k, v in zip(ports, got) if not isinstance(v, Exception)]
             for (k, v), (k_next, v_next) in zip(kept, kept[1:]):
                 assert v_next <= v + analytic._ABS_GAP_GATE, (m, k, v, k_next, v_next)
+
+    def _check_rises(self, ctx, field, log_t, metrics):
+        # the two drawn thresholds and their geometric mean, in order; a
+        # refused value is skipped
+        lo, hi = sorted(log_t)
+        ladder = [dataclasses.replace(ctx, **{field: 10.0 ** e})
+                  for e in (lo, 0.5 * (lo + hi), hi)]
+        for m in metrics:
+            kept = [(c, v) for c in ladder for v in [self._value(EXACTS[m], c)] if v is not None]
+            for (c, v), (c_next, v_next) in zip(kept, kept[1:]):
+                assert v <= v_next + analytic._ABS_GAP_GATE, (m, c, v, c_next, v_next)
 
 
 class TestGaussRules:

@@ -19,6 +19,7 @@ from fama_idet.analytic import DEFAULT_QUAD, KernelContext, QuadratureConvergenc
 from fama_idet.channel import SystemConfig
 from fama_idet.cli import main
 from fama_idet.montecarlo import Method, Metric, simulate_outage_counts, wilson_interval
+from fama_idet.specfun import mu_from_w
 from fama_idet.sweep import (
     ConfigError,
     SweepSpec,
@@ -345,9 +346,9 @@ class TestRunSweep:
 
 
 class TestExactMemo:
-    """A sweep evaluates each EXACT metric once per distinct kernel input: the
-    K tuple, mu, n_users, rician_k and the thresholds sweep._EXACT_READS
-    declares for the metric."""
+    """A sweep evaluates each EXACT metric and each closed form once per
+    distinct kernel input: the K tuple, mu, n_users, rician_k and the
+    thresholds sweep._READS declares for the metric."""
 
     GAMMA = _with_metrics(", ".join(f"{m.value}:EXACT" for m in Metric)).replace(
         "0 dB, 3 dB", "-3 dB, 0 dB, 3 dB, 6 dB, 9 dB, 12 dB, 15 dB")
@@ -364,7 +365,36 @@ class TestExactMemo:
         ports = sweep._EXACT_RAYLEIGH[metric].over_ports
         got = [ports(ctx, DEFAULT_QUAD, (1, 4)) for ctx in (base, moved)]
         assert all(0.0 < v < 1.0 for v in got[0] + got[1]), got
-        assert (repr(got[0]) == repr(got[1])) is (field not in sweep._EXACT_READS[metric])
+        assert (repr(got[0]) == repr(got[1])) is (field not in sweep._READS[metric])
+
+    @pytest.mark.parametrize("field", THRESHOLDS)
+    @pytest.mark.parametrize("metric", list(sweep._CLOSED_FORM), ids=lambda m: m.value)
+    def test_closed_form_declared_fields_are_the_fields_read(self, metric, field):
+        # the same for the closed forms, at a cell where all of them lie
+        # inside (0, 1) at both K and at both thresholds
+        base = KernelContext(mu=mu_from_w(5.0), gamma_th=10.0 ** 0.7, q_hat=40.0, n_users=5,
+                             n_ports=1)
+        moved = dataclasses.replace(base, **{field: 2.0 * getattr(base, field)})
+        got = [[sweep._CLOSED_FORM[metric](dataclasses.replace(ctx, n_ports=k)) for k in (1, 4)]
+               for ctx in (base, moved)]
+        assert all(0.0 < v < 1.0 for v in got[0] + got[1]), got
+        assert (repr(got[0]) == repr(got[1])) is (field not in sweep._READS[metric])
+
+    def test_gamma_sweep_runs_the_wet_closed_forms_once(self, monkeypatch):
+        calls = Counter()
+        for metric, fn in list(sweep._CLOSED_FORM.items()):
+            def counted(ctx, fn=fn, metric=metric):
+                calls[metric] += 1
+                return fn(ctx)
+            monkeypatch.setitem(sweep._CLOSED_FORM, metric, counted)
+        spec = spec_from_config(self.GAMMA.replace(":EXACT", ":CLOSED_FORM"))
+        rows = run_sweep(spec).rows
+        # IDET_GENERAL reuses its parts' outcomes
+        assert calls == {Metric.WET_SINR: 1, Metric.WET_EHP: 1, Metric.WDT_SINR: 7,
+                         Metric.WDT_EHP: 7, Metric.IDET_SPECIAL: 7}
+        for i in (0, 6):
+            alone = run_sweep(dataclasses.replace(spec, values=[spec.values[i]])).rows
+            assert rows[6 * i:6 * i + 6] == alone
 
     def test_gamma_sweep_runs_the_wet_metrics_once(self, monkeypatch):
         calls = _count_exact_calls(monkeypatch)
