@@ -6,7 +6,8 @@ powers are drawn for the desired antenna and for the other N - 1, as
 noncentral chi-square variables given the components all ports share,
 each built from uniform draws: a Box-Muller radius and angle for the
 normal part and an Erlang log-product (a gamma for wide groups) for the
-rest (see _blocks).
+rest (see _blocks).  The uniforms are the two 32-bit halves of raw SFC64
+words, and the powers are drawn, transformed and counted in float32.
 Trials run in fixed-size blocks, each block on its own SFC64 substream
 keyed by (cell, block) through a ``SeedSequence`` spawn key, which makes
 every estimate a pure function of (config, seed) regardless of scheduling;
@@ -29,9 +30,12 @@ MIN_TRIALS = 1000
 ENTRIES = 2 ** 16  # port powers per chunk buffer: (2, rows, K) stays in cache
 _PHASE_KEY = (0,)  # LoS phases: one word, unlike every (cell, block) key
 # chi2(2j) from j uniforms up to here, above it from one gamma: on one thread
-# the uniforms cost 2.5-3 ns each and the gamma 20-22 ns at any j >= 2, and
-# they tie near j = 7
-_ERLANG_MAX = 6
+# (float32, AVX-512) _erlang takes 4.0 ns an entry at j = 2 and 2.0-2.4 ns more
+# per uniform, the gamma 19-20 ns at any j, and they tie between j = 9 and 10
+_ERLANG_MAX = 9
+# uniforms per product of an Erlang sum: each is at least 2^-33, so a product
+# of 3 is at least 2^-99, a normal float32 (2^-126 is the least)
+_FACTORS = 3
 
 
 class Metric(enum.Enum):
@@ -76,31 +80,41 @@ def _blocks(cfg, trials, seed, cell, reduce):
     Each block of BLOCK trials is drawn on its own substream, so the blocks
     are independent and run on one thread per CPU with the same results at
     any thread count.  A block walks its trials in chunks of `rows` trials,
-    and `reduce` gets each chunk as an array of shape (2, rows, K) that the
-    next chunk overwrites.  Group 0 is antenna 0, the desired link, and group
-    1 is the other N - 1 antennas, the interference.
+    and `reduce` gets each chunk as a float32 array of shape (2, rows, K)
+    that the next chunk overwrites.  Group 0 is antenna 0, the desired link,
+    and group 1 is the other N - 1 antennas, the interference.
 
     Given the shared means m_n = mu h0_n + sqrt(kappa) e^{j phi_n}, a group
     of G antennas gives each port the power (s Z + |m|)^2 + s^2 C with
     |m|^2 = sum |m_n|^2, s^2 = 1 - mu^2, Z ~ N(0, 1) and C ~ chi2(2G - 1).
     Write Z = R cos(theta) (Box & Muller, Ann. Math. Stat. 1958): then
     Z^2 + C = R^2 + E with R^2 ~ chi2(2) and E ~ chi2(2G - 2), so the power
-    is s^2 (R^2 + E) + 2 s |m| R cos(theta) + |m|^2, drawn from uniforms:
+    is s^2 (R^2 + E) + 2 s |m| R cos(theta) + |m|^2, drawn from uniforms V
+    in (0, 1] (see _uniform), all of a chunk's from one raw SFC64 call:
 
-    - R^2 = -2 log(1 - U), finite for every U in [0, 1);
+    - R^2 = -2 log V, finite for every V;
     - cos(theta) = (1 - t^2) / (1 + t^2) with t = tan(pi (V - 1/2)), the
-      half-angle form, which numpy evaluates in SIMD where float64 cos is
-      scalar; at V = 0 it reads -1;
-    - E = -2 log prod_{i < G} (1 - U_i), an Erlang sum (Devroye, Non-Uniform
+      half-angle form, which numpy evaluates in SIMD where cos is scalar;
+    - E = -2 log prod_{i < G} V_i, an Erlang sum (Devroye, Non-Uniform
       Random Variate Generation, 1986), 0 at G = 1; above _ERLANG_MAX
       uniforms a gamma is cheaper, and E is 2 standard_gamma(G - 1).
+
+    The means are drawn in float64; the uniforms, the powers and their
+    arithmetic are float32, whose loops numpy runs at about twice the rate.
+    Rounding can leave a power a few float32 ulps of |m|^2 below 0 where
+    the cross term cancels the rest, so each group's powers are clipped at 0.
     """
     if not isinstance(trials, (int, np.integer)):
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}")
     k, mu, n = cfg.n_ports, cfg.mu, cfg.n_users
+    if n * cfg.rician_k > float(np.finfo(np.float32).max):
+        raise ValueError(f"rician_k = {cfg.rician_k:g} puts the LoS power n_users * rician_k "
+                         "beyond the float32 range of the sampled port powers")
     groups = (1, n - 1)
+    # uniforms per port: R and theta for each group, and E's below the gamma
+    draws = sum(2 + (w - 1 if w - 1 <= _ERLANG_MAX else 0) for w in groups)
     s2 = max(0.0, 1.0 - mu * mu)
     rows = max(1, ENTRIES // (k * len(groups)))
     los = 0.0
@@ -111,20 +125,26 @@ def _blocks(cfg, trials, seed, cell, reduce):
     def run(b):
         size = min(BLOCK, trials - b * BLOCK)
         rng = substream(seed, cell, b)
-        h = mu * rng.standard_normal((2, size, n)) + los
-        m2 = np.add.reduceat(h[0] ** 2 + h[1] ** 2, (0, 1), axis=1)   # |m|^2, (size, 2)
-        two_s_m = 2.0 * math.sqrt(s2) * np.sqrt(m2)
-        p = np.empty((len(groups), min(rows, size), k))
-        scratch = np.empty((2, *p.shape[1:]))
+        h = rng.standard_normal((2, size, n))
+        h *= mu
+        h += los
+        np.square(h, out=h)
+        m2 = np.add.reduceat(h[0] + h[1], (0, 1), axis=1)   # |m|^2, (size, 2)
+        del h                                   # the chunks read only m2 and two_s_m
+        two_s_m = (2.0 * math.sqrt(s2) * np.sqrt(m2)).astype(np.float32)
+        m2 = m2.astype(np.float32)
+        p = np.empty((len(groups), min(rows, size), k), np.float32)
+        scratch = np.empty((2, *p.shape[1:]), np.float32)
         out = []
         for r in range(0, size, rows):
             chunk = p[:, :min(rows, size - r)]
             x, c = scratch[:, :chunk.shape[1]]
             at = slice(r, r + chunk.shape[1])
+            bits = iter(_raw_words(rng, (draws, *chunk.shape[1:])))
             for g, width in enumerate(groups):
-                power = _erlang(rng, width - 1, chunk[g], x)
-                _uniform_cos(rng, c, x)
-                np.log(_one_minus_uniform(rng, x), out=x)
+                power = _erlang(rng, bits, width - 1, chunk[g], x, c)
+                _uniform_cos(next(bits), c, x)
+                np.log(_uniform(next(bits), x), out=x)
                 x *= -2.0                                 # R^2
                 power += x
                 power *= s2
@@ -133,41 +153,62 @@ def _blocks(cfg, trials, seed, cell, reduce):
                 x *= two_s_m[at, g, None]
                 power += x
                 power += m2[at, g, None]
+                np.maximum(power, 0.0, out=power)
             out.append(reduce(chunk))
+            del bits                            # freed before the next chunk's draw
         return out
 
     per_block = _thread_map(run, range((trials + BLOCK - 1) // BLOCK))
     return [res for chunks in per_block for res in chunks]
 
 
-def _one_minus_uniform(rng, out):
-    """1 - U into out: in (0, 1], so its log is finite."""
-    rng.random(out=out)
-    return np.subtract(1.0, out, out=out)
+def _raw_words(rng, shape):
+    """Independent 32-bit words u in a uint32 array of `shape`: both halves
+    of each 64-bit SFC64 output, from one call."""
+    count = math.prod(shape)
+    return rng.bit_generator.random_raw((count + 1) // 2).view(np.uint32)[:count].reshape(shape)
 
 
-def _erlang(rng, j, out, scratch):
-    """chi2(2j) into out, 0 at j = 0; scratch takes each further uniform."""
+def _uniform(bits, out):
+    """V = (u + 1/2) 2^-32 of 32-bit words u, in float32 into out.
+
+    V lies in (0, 1]: its least value is 2^-33, so log V >= -22.9 is
+    finite, and the words within 2^7 of 2^32 round to 1."""
+    np.add(bits, np.float32(0.5), out=out, dtype=np.float32)
+    out *= np.float32(2.0 ** -32)
+    return out
+
+
+def _erlang(rng, bits, j, out, prod, scratch):
+    """chi2(2j) into out, 0 at j = 0, from j uniforms of `bits` (an iterator
+    of word arrays); prod and scratch are buffers of out's shape.
+
+    The uniforms are multiplied _FACTORS at a time and the logs of the
+    products summed, so no product leaves float32's normal range."""
     if j == 0:
         out.fill(0.0)
     elif j > _ERLANG_MAX:
-        rng.standard_gamma(j, out=out)
+        rng.standard_gamma(j, out=out, dtype=np.float32)
         out *= 2.0
     else:
-        _one_minus_uniform(rng, out)
-        for _ in range(j - 1):
-            out *= _one_minus_uniform(rng, scratch)
-        np.log(out, out=out)
+        for first in range(0, j, _FACTORS):
+            acc = out if first == 0 else prod
+            _uniform(next(bits), acc)
+            for _ in range(1, min(_FACTORS, j - first)):
+                acc *= _uniform(next(bits), scratch)
+            np.log(acc, out=acc)
+            if acc is not out:
+                out += acc
         out *= -2.0
     return out
 
 
-def _uniform_cos(rng, out, scratch):
+def _uniform_cos(bits, out, scratch):
     """cos(theta) into out for theta uniform on a circle, by the half-angle
-    tangent t = tan(pi (V - 1/2)): (1 - t^2) / (1 + t^2)."""
-    rng.random(out=out)
+    tangent t = tan(pi (V - 1/2)): (1 - t^2) / (1 + t^2), in [-1, 1]."""
+    _uniform(bits, out)
     out -= 0.5
-    out *= math.pi
+    out *= np.float32(math.pi)
     np.tan(out, out=out)
     np.square(out, out=out)
     np.add(1.0, out, out=scratch)
@@ -204,12 +245,12 @@ def simulate_outage_counts(
     """
     if not all(isinstance(k, (int, np.integer)) and 1 <= k <= cfg.n_ports for k in k_values or ()):
         raise ValueError(f"k_values must be integers in [1, {cfg.n_ports}], got {k_values}")
-    gamma, q_th, q_scale = cfg.sinr_threshold, cfg.ehp_threshold, _q_scale(cfg)
+    gamma, total_th = _thresholds(cfg)
     keys = list(dict.fromkeys([cfg.n_ports, *(k_values or [])]))  # distinct K to count at
 
     def reduce(p):
-        sinr, q = _sinr(p[0], p[1]), q_scale * (p[0] + p[1])
-        return [_count(sinr[:, :k], q[:, :k], gamma, q_th) for k in keys]
+        sinr, total = _sinr(p[0], p[1]), p[0] + p[1]
+        return [_count(sinr[:, :k], total[:, :k], gamma, total_th) for k in keys]
 
     tally = dict(zip(keys, np.sum(_blocks(cfg, trials, seed, cell, reduce), axis=0)))
     out = {"trials": trials, "counts": dict(zip(Metric, map(int, tally[cfg.n_ports])))}
@@ -218,14 +259,29 @@ def simulate_outage_counts(
     return out
 
 
-def _count(sinr, q, gamma, q_th):
+def _thresholds(cfg):
+    """float32 thresholds of the SINR and of the total port power p0 + p1.
+
+    The harvested power is q_scale (p0 + p1), so it falls below q_th just
+    when p0 + p1 falls below q_th / q_scale, and both pick the same port;
+    at q_scale = 0 (ps_ratio = 1) every trial fails when q_th > 0 and none
+    when q_th = 0.  The casts are explicit so that every numpy compares in
+    float32; past float32's range a threshold reads inf, below its least
+    subnormal 0."""
+    q_th, q_scale = cfg.ehp_threshold, _q_scale(cfg)
+    total_th = q_th / q_scale if q_scale > 0.0 else math.inf if q_th > 0.0 else 0.0
+    with np.errstate(over="ignore"):
+        return np.float32(cfg.sinr_threshold), np.float32(total_th)
+
+
+def _count(sinr, total, gamma, total_th):
     """A chunk's failures of the six metrics, in Metric order."""
     rows = np.arange(len(sinr))
-    by_sinr, by_q = np.argmax(sinr, axis=1), np.argmax(q, axis=1)
+    by_sinr, by_q = np.argmax(sinr, axis=1), np.argmax(total, axis=1)
     wdt_fail = sinr[rows, by_sinr] < gamma
-    wet_fail = q[rows, by_q] < q_th
+    wet_fail = total[rows, by_q] < total_th
     return [np.count_nonzero(fail) for fail in (
-        wdt_fail, q[rows, by_sinr] < q_th, sinr[rows, by_q] < gamma, wet_fail,
+        wdt_fail, total[rows, by_sinr] < total_th, sinr[rows, by_q] < gamma, wet_fail,
         wdt_fail & wet_fail, wdt_fail | wet_fail)]
 
 

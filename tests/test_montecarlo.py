@@ -82,7 +82,7 @@ class TestDeterminism:
         # one partial block at N = 3: the LoS phases enter every antenna's mean
         cfg = SystemConfig(n_users=3, n_ports=4, rician_k=2.0)
         counts = simulate_outage_counts(cfg, 2000, seed=1)["counts"]
-        assert [counts[m] for m in Metric] == [1350, 109, 1835, 0, 0, 1350]
+        assert [counts[m] for m in Metric] == [1395, 117, 1835, 0, 0, 1395]
 
     def test_min_trials_enforced(self):
         with pytest.raises(ValueError):
@@ -133,34 +133,36 @@ class TestPinnedStream:
     def test_counts(self, cpus):
         cfg = SystemConfig(**self.CFG)
         full = simulate_outage_counts(cfg, self.TRIALS, seed=17, cell=2)["counts"]
-        assert [full[m] for m in Metric] == [3405, 17623, 17726, 2854, 473, 5786]
+        assert [full[m] for m in Metric] == [3425, 17577, 17773, 2850, 469, 5806]
 
         res = simulate_outage_counts(cfg, self.TRIALS, seed=17, cell=2, k_values=[1, 4, 16])
         assert res["counts"] == full
         assert {m.name: res["nested"][m].tolist() for m in res["nested"]} == {
-            "WDT_SINR": [17791, 12571, 3405], "WET_EHP": [17560, 12000, 2854],
-            "IDET_SPECIAL": [15616, 7528, 473], "IDET_GENERAL": [19735, 17043, 5786],
-            "WET_SINR": [17560, 17656, 17623], "WDT_EHP": [17791, 17851, 17726]}
+            "WDT_SINR": [17767, 12518, 3425], "WET_EHP": [17524, 11852, 2850],
+            "IDET_SPECIAL": [15571, 7469, 469], "IDET_GENERAL": [19720, 16901, 5806],
+            "WET_SINR": [17524, 17523, 17577], "WDT_EHP": [17767, 17745, 17773]}
         # the view at k = n_ports is the plain run, all six metrics
         assert {m: int(res["nested"][m][-1]) for m in Metric} == full
 
         cfg_r = SystemConfig(**self.CFG, rician_k=2.0)
         rician = simulate_outage_counts(cfg_r, self.TRIALS, seed=17, cell=4)["counts"]
-        assert [rician[m] for m in Metric] == [6263, 18377, 18485, 5445, 1464, 10244]
+        assert [rician[m] for m in Metric] == [6153, 18443, 18505, 5459, 1422, 10190]
 
     def test_energy_efficiency(self, cpus):
         # rate and harvest sums of one reduce over _blocks, picked by best SIR
-        # (WDT) or best harvest (WET), at bandwidth 1 MHz and fixed power 0.5 W
+        # (WDT) or best harvest (WET), at bandwidth 1 MHz and fixed power 0.5 W;
+        # the float32 chunk is summed in float64, so only the draw is pinned
         cfg = SystemConfig(**self.CFG)
         n, q_scale = cfg.n_users, montecarlo._q_scale(cfg)
         base_power = n * cfg.tx_power + 0.5
         for wdt, want in (
-            (True, (7231584.039065642, 0.08882475727874868, 3.411175242721251,
-                    2119968.4931157846, 2120540.715269391)),
-            (False, (2171464.0344830086, 0.2007358063347695, 3.2992641936652305,
-                     658166.1567607528, 658437.3372725524)),
+            (True, (7242601.854060418, 0.08887280151525515, 3.4111271984847447,
+                    2123228.315050125, 2123745.7969549843)),
+            (False, (2175033.9851025394, 0.20006755264899156, 3.2999324473510083,
+                     659114.7000140954, 659314.6047856449)),
         ):
             def reduce(p):
+                p = p.astype(np.float64)
                 sinr, q = montecarlo._sinr(p[0], p[1]), q_scale * (p[0] + p[1])
                 idx = np.argmax(sinr if wdt else q, axis=1)
                 picked = np.arange(len(idx))
@@ -230,9 +232,17 @@ class TestBlockMemory:
         (5, {}), (5, {"k_values": [1, 50, 200]}), (16, {})], ids=["plain", "nested_k", "n16"])
     def test_block_peak_does_not_grow_with_k(self, n_users, nested, monkeypatch):
         # at K = 200 a whole (BLOCK, K, 2) array would take 26 MB; in chunks
-        # a block peaks near 2.8 MB, counted at one K or at several, and the
-        # chi-square draws of 15 interfering antennas reuse the same buffers
+        # a block peaks at 1.9 MB, counted at one K or at several, and at
+        # 3.3 MB with 15 interfering antennas, whose float64 means (2, BLOCK,
+        # 16) take 2.1 MB; the bound leaves 0.7 MB above the larger peak
         monkeypatch.setattr(channel, "_cpus", lambda: 1)
+        dtypes = set()
+        blocks = montecarlo._blocks
+
+        def spy(cfg, trials, seed, cell, reduce):
+            return blocks(cfg, trials, seed, cell, lambda p: dtypes.add(p.dtype) or reduce(p))
+
+        monkeypatch.setattr(montecarlo, "_blocks", spy)
         cfg = SystemConfig(n_users=n_users, n_ports=200, fa_size=5.0, ehp_threshold=0.11)
         tracemalloc.start()
         try:
@@ -240,7 +250,68 @@ class TestBlockMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert dtypes == {np.dtype(np.float32)}
+        assert peak < 4e6
+
+
+class TestFloat32Draw:
+    """Edges of the float32 draw: 32-bit words, products and thresholds."""
+
+    def test_uniform_of_extreme_words(self):
+        words = np.array([0, 1, 2 ** 31, 2 ** 32 - 1], dtype=np.uint32)
+        out, scratch = np.empty((2, 4), np.float32)
+        with np.errstate(all="raise"):
+            v = montecarlo._uniform(words, out).copy()
+            log_v = np.log(v)
+            cos = montecarlo._uniform_cos(words, out, scratch)
+        assert v.dtype == np.float32
+        assert v.tolist() == [2.0 ** -33, 1.5 * 2.0 ** -32, 0.5, 1.0]
+        assert np.all(np.isfinite(log_v)) and log_v.min() > -23.0
+        assert np.all((cos >= -1.0) & (cos <= 1.0))
+
+    def test_erlang_of_least_words_is_finite(self):
+        # j words of 0 give V = 2^-33 each: a whole product of 2^-33j would
+        # leave float32 at j = 5, so the products are taken _FACTORS at a time
+        j = montecarlo._ERLANG_MAX
+        out, prod, scratch = np.empty((3, 4), np.float32)
+        with np.errstate(all="raise"):
+            e = montecarlo._erlang(None, iter(np.zeros((j, 4), np.uint32)), j, out, prod, scratch)
+        np.testing.assert_allclose(e, 66.0 * j * math.log(2.0), rtol=1e-6)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.99])
+    @pytest.mark.parametrize("n_users", [2, 5, 7, 9, montecarlo._ERLANG_MAX + 2])
+    def test_chunks_hold_finite_nonnegative_powers(self, n_users, mu):
+        # E from one, two and three products of uniforms, and from the gamma
+        cfg = SystemConfig(n_users=n_users, n_ports=16, mu=mu)
+        ok = _blocks(cfg, 2 * montecarlo.BLOCK, 3, 0, lambda p: (
+            p.dtype == np.float32 and bool(np.all(np.isfinite(p) & (p >= 0.0)))))
+        assert all(ok)
+
+    def test_sinr_threshold_past_float32_fails_every_trial(self):
+        cfg = cfg_small(n_users=3, n_ports=4, sinr_threshold=1e40)
+        counts = simulate_outage_counts(cfg, 2000, seed=1)["counts"]
+        assert counts[Metric.WDT_SINR] == 2000
+
+    def test_harvest_threshold_past_float32_fails_every_trial(self):
+        cfg = cfg_small(n_users=3, n_ports=4, ehp_threshold=1e40)
+        assert cfg.ehp_threshold / montecarlo._q_scale(cfg) > float(np.finfo(np.float32).max)
+        counts = simulate_outage_counts(cfg, 2000, seed=1)["counts"]
+        assert counts[Metric.WET_EHP] == 2000
+
+    def test_harvest_threshold_below_float32_fails_no_trial(self):
+        cfg = cfg_small(n_users=3, n_ports=4, ehp_threshold=1e-60)
+        assert 0.0 < cfg.ehp_threshold / montecarlo._q_scale(cfg) < float(
+            np.finfo(np.float32).smallest_subnormal)
+        counts = simulate_outage_counts(cfg, 2000, seed=1)["counts"]
+        assert counts[Metric.WET_EHP] == 0
+
+    def test_los_power_past_float32_refused(self):
+        top = float(np.finfo(np.float32).max)
+        with pytest.raises(ValueError, match="rician_k"):
+            simulate_outage_counts(cfg_small(n_users=5, rician_k=top / 4), 2000, seed=1)
+        # just inside the range every power is finite
+        cfg = cfg_small(n_users=5, rician_k=top / 5 * 0.999)
+        assert all(_blocks(cfg, 2000, 1, 0, lambda p: bool(np.all(np.isfinite(p)))))
 
 
 class TestNestedSweeps:
@@ -339,14 +410,14 @@ class TestSamplerOracle:
     N - 1 antennas directly.  Two-sample KS tests compare port 0's X, Y and
     X/Y, and the best port's X/Y, which depends on the components the ports
     share.  The interference group's chi2(2N - 4) part is 0 at N = 2, comes
-    from uniforms at N = 3 and 5, and from a gamma at the first N above
-    the crossover.
+    from one product of uniforms at N = 3 and 5 and from three at N = 9,
+    and from a gamma at the first N above the crossover.
     """
 
     SAMPLES = 20_000
 
     @pytest.mark.parametrize("n_users, rician_k", [
-        (2, 0.0), (3, 0.0), (5, 0.0), (montecarlo._ERLANG_MAX + 3, 0.0), (3, 2.0)])
+        (2, 0.0), (3, 0.0), (5, 0.0), (9, 0.0), (montecarlo._ERLANG_MAX + 3, 0.0), (3, 2.0)])
     def test_port_powers_match_explicit_composition(self, n_users, rician_k):
         cfg = SystemConfig(n_users=n_users, n_ports=3, mu=0.8, rician_k=rician_k)
         # each chunk is (2, rows, K) in a buffer the next chunk reuses
