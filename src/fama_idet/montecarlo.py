@@ -13,7 +13,8 @@ keyed by (cell, block) through a ``SeedSequence`` spawn key, which makes
 every estimate a pure function of (config, seed) regardless of scheduling;
 the blocks of one estimate run on a thread per CPU.  A block draws,
 transforms and counts its trials in row chunks of at most ENTRIES port
-powers, so its memory does not grow with K.
+powers, so its memory does not grow with K, and each numpy call of a chunk
+covers both antenna groups, large enough for two threads to overlap.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from .channel import SystemConfig, _thread_map
 
 BLOCK = 8192
 MIN_TRIALS = 1000
-ENTRIES = 2 ** 16  # port powers per chunk buffer: (2, rows, K) stays in cache
+# port powers per chunk, (2, rows, K), so a chunk's numpy calls cover 2^16
+# (one group) or 2^17 (both groups) entries; in calls of 2^15 two block
+# threads spend much of their time handing the interpreter lock to each other
+ENTRIES = 2 ** 17
 _PHASE_KEY = (0,)  # LoS phases: one word, unlike every (cell, block) key
 # chi2(2j) from j uniforms up to here, above it from one gamma: on one thread
 # (float32, AVX-512) _erlang takes 4.0 ns an entry at j = 2 and 2.0-2.4 ns more
@@ -90,7 +94,7 @@ def _blocks(cfg, trials, seed, cell, reduce):
     Write Z = R cos(theta) (Box & Muller, Ann. Math. Stat. 1958): then
     Z^2 + C = R^2 + E with R^2 ~ chi2(2) and E ~ chi2(2G - 2), so the power
     is s^2 (R^2 + E) + 2 s |m| R cos(theta) + |m|^2, drawn from uniforms V
-    in (0, 1] (see _uniform), all of a chunk's from one raw SFC64 call:
+    in (0, 1] (see _uniform):
 
     - R^2 = -2 log V, finite for every V;
     - cos(theta) = (1 - t^2) / (1 + t^2) with t = tan(pi (V - 1/2)), the
@@ -98,6 +102,12 @@ def _blocks(cfg, trials, seed, cell, reduce):
     - E = -2 log prod_{i < G} V_i, an Erlang sum (Devroye, Non-Uniform
       Random Variate Generation, 1986), 0 at G = 1; above _ERLANG_MAX
       uniforms a gamma is cheaper, and E is 2 standard_gamma(G - 1).
+
+    A chunk draws its 32-bit words as it uses them, each word for one
+    uniform, in this order: E's words, one (rows, K) call per uniform (or
+    E's gamma), of group 0 and then of group 1; then one (2, rows, K) call
+    of cos(theta) words for both groups; then one of R words.  From the cos
+    on, every step runs once over both groups.
 
     The means are drawn in float64; the uniforms, the powers and their
     arithmetic are float32, whose loops numpy runs at about twice the rate.
@@ -113,8 +123,6 @@ def _blocks(cfg, trials, seed, cell, reduce):
         raise ValueError(f"rician_k = {cfg.rician_k:g} puts the LoS power n_users * rician_k "
                          "beyond the float32 range of the sampled port powers")
     groups = (1, n - 1)
-    # uniforms per port: R and theta for each group, and E's below the gamma
-    draws = sum(2 + (w - 1 if w - 1 <= _ERLANG_MAX else 0) for w in groups)
     s2 = max(0.0, 1.0 - mu * mu)
     rows = max(1, ENTRIES // (k * len(groups)))
     los = 0.0
@@ -129,33 +137,30 @@ def _blocks(cfg, trials, seed, cell, reduce):
         h *= mu
         h += los
         np.square(h, out=h)
-        m2 = np.add.reduceat(h[0] + h[1], (0, 1), axis=1)   # |m|^2, (size, 2)
+        m2 = np.add.reduceat(h[0] + h[1], (0, 1), axis=1).T[:, :, None]  # |m|^2, (2, size, 1)
         del h                                   # the chunks read only m2 and two_s_m
         two_s_m = (2.0 * math.sqrt(s2) * np.sqrt(m2)).astype(np.float32)
         m2 = m2.astype(np.float32)
-        p = np.empty((len(groups), min(rows, size), k), np.float32)
-        scratch = np.empty((2, *p.shape[1:]), np.float32)
+        buffers = np.empty((3, len(groups), min(rows, size), k), np.float32)
         out = []
         for r in range(0, size, rows):
-            chunk = p[:, :min(rows, size - r)]
-            x, c = scratch[:, :chunk.shape[1]]
-            at = slice(r, r + chunk.shape[1])
-            bits = iter(_raw_words(rng, (draws, *chunk.shape[1:])))
+            at = slice(r, min(r + rows, size))
+            p, c, x = buffers[:, :, :at.stop - r]
             for g, width in enumerate(groups):
-                power = _erlang(rng, bits, width - 1, chunk[g], x, c)
-                _uniform_cos(next(bits), c, x)
-                np.log(_uniform(next(bits), x), out=x)
-                x *= -2.0                                 # R^2
-                power += x
-                power *= s2
-                np.sqrt(x, out=x)
-                x *= c
-                x *= two_s_m[at, g, None]
-                power += x
-                power += m2[at, g, None]
-                np.maximum(power, 0.0, out=power)
-            out.append(reduce(chunk))
-            del bits                            # freed before the next chunk's draw
+                words = (_raw_words(rng, p.shape[1:]) for _ in range(width - 1))
+                _erlang(rng, words, width - 1, p[g], *c)          # E, c as scratch
+            _uniform_cos(_raw_words(rng, p.shape), c, x)
+            np.log(_uniform(_raw_words(rng, p.shape), x), out=x)
+            x *= -2.0                                             # R^2
+            p += x
+            p *= s2
+            np.sqrt(x, out=x)
+            x *= c
+            x *= two_s_m[:, at]
+            p += x
+            p += m2[:, at]
+            np.maximum(p, 0.0, out=p)
+            out.append(reduce(p))
         return out
 
     per_block = _thread_map(run, range((trials + BLOCK - 1) // BLOCK))
@@ -181,7 +186,8 @@ def _uniform(bits, out):
 
 def _erlang(rng, bits, j, out, prod, scratch):
     """chi2(2j) into out, 0 at j = 0, from j uniforms of `bits` (an iterator
-    of word arrays); prod and scratch are buffers of out's shape.
+    of word arrays, which may draw each as it is taken); prod and scratch
+    are buffers of out's shape.
 
     The uniforms are multiplied _FACTORS at a time and the logs of the
     products summed, so no product leaves float32's normal range."""

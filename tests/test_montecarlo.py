@@ -82,7 +82,7 @@ class TestDeterminism:
         # one partial block at N = 3: the LoS phases enter every antenna's mean
         cfg = SystemConfig(n_users=3, n_ports=4, rician_k=2.0)
         counts = simulate_outage_counts(cfg, 2000, seed=1)["counts"]
-        assert [counts[m] for m in Metric] == [1395, 117, 1835, 0, 0, 1395]
+        assert [counts[m] for m in Metric] == [1376, 113, 1836, 0, 0, 1376]
 
     def test_min_trials_enforced(self):
         with pytest.raises(ValueError):
@@ -133,20 +133,20 @@ class TestPinnedStream:
     def test_counts(self, cpus):
         cfg = SystemConfig(**self.CFG)
         full = simulate_outage_counts(cfg, self.TRIALS, seed=17, cell=2)["counts"]
-        assert [full[m] for m in Metric] == [3425, 17577, 17773, 2850, 469, 5806]
+        assert [full[m] for m in Metric] == [3437, 17638, 17763, 2871, 505, 5803]
 
         res = simulate_outage_counts(cfg, self.TRIALS, seed=17, cell=2, k_values=[1, 4, 16])
         assert res["counts"] == full
         assert {m.name: res["nested"][m].tolist() for m in res["nested"]} == {
-            "WDT_SINR": [17767, 12518, 3425], "WET_EHP": [17524, 11852, 2850],
-            "IDET_SPECIAL": [15571, 7469, 469], "IDET_GENERAL": [19720, 16901, 5806],
-            "WET_SINR": [17524, 17523, 17577], "WDT_EHP": [17767, 17745, 17773]}
+            "WDT_SINR": [17698, 12477, 3437], "WET_EHP": [17495, 11814, 2871],
+            "IDET_SPECIAL": [15500, 7377, 505], "IDET_GENERAL": [19693, 16914, 5803],
+            "WET_SINR": [17495, 17477, 17638], "WDT_EHP": [17698, 17746, 17763]}
         # the view at k = n_ports is the plain run, all six metrics
         assert {m: int(res["nested"][m][-1]) for m in Metric} == full
 
         cfg_r = SystemConfig(**self.CFG, rician_k=2.0)
         rician = simulate_outage_counts(cfg_r, self.TRIALS, seed=17, cell=4)["counts"]
-        assert [rician[m] for m in Metric] == [6153, 18443, 18505, 5459, 1422, 10190]
+        assert [rician[m] for m in Metric] == [6306, 18352, 18362, 5517, 1548, 10275]
 
     def test_energy_efficiency(self, cpus):
         # rate and harvest sums of one reduce over _blocks, picked by best SIR
@@ -156,10 +156,10 @@ class TestPinnedStream:
         n, q_scale = cfg.n_users, montecarlo._q_scale(cfg)
         base_power = n * cfg.tx_power + 0.5
         for wdt, want in (
-            (True, (7242601.854060418, 0.08887280151525515, 3.4111271984847447,
-                    2123228.315050125, 2123745.7969549843)),
-            (False, (2175033.9851025394, 0.20006755264899156, 3.2999324473510083,
-                     659114.7000140954, 659314.6047856449)),
+            (True, (7274628.15232229, 0.08913579972218535, 3.4108642002778145,
+                    2132781.525494264, 2133509.8846482085)),
+            (False, (2170716.390935812, 0.20002335605673166, 3.2999766439432685,
+                     657797.5013610823, 657969.352630763)),
         ):
             def reduce(p):
                 p = p.astype(np.float64)
@@ -232,7 +232,7 @@ class TestBlockMemory:
         (5, {}), (5, {"k_values": [1, 50, 200]}), (16, {})], ids=["plain", "nested_k", "n16"])
     def test_block_peak_does_not_grow_with_k(self, n_users, nested, monkeypatch):
         # at K = 200 a whole (BLOCK, K, 2) array would take 26 MB; in chunks
-        # a block peaks at 1.9 MB, counted at one K or at several, and at
+        # a block peaks at 2.3 MB, counted at one K or at several, and at
         # 3.3 MB with 15 interfering antennas, whose float64 means (2, BLOCK,
         # 16) take 2.1 MB; the bound leaves 0.7 MB above the larger peak
         monkeypatch.setattr(channel, "_cpus", lambda: 1)
@@ -443,3 +443,63 @@ class TestSamplerOracle:
             ("best X/Y", (x_fast / y_fast).max(axis=1), (x_ref / y_ref).max(axis=1)),
         ):
             assert stats.ks_2samp(fast, ref).pvalue > 1e-3, name
+
+
+class TestWordOrder:
+    """Each 32-bit word of a block's substream feeds exactly one uniform.
+
+    The chunks of block 0 are rebuilt in float64 from the words of
+    ``substream(seed, cell, 0)`` in the order ``_blocks`` documents: the
+    shared means, then per chunk E's words one uniform at a time (group 1;
+    group 0 has none) or its gamma, then one call of cos words for both
+    groups and one of R words.  Two uniforms that read the same word fail
+    here; the KS tests above see that only where it changes a distribution,
+    and the pins not at all once re-pinned for a stream change.
+    """
+
+    @pytest.mark.parametrize("n_users, rician_k", [
+        (5, 0.0), (3, 2.0), (montecarlo._ERLANG_MAX + 3, 0.0)], ids=["erlang", "rician", "gamma"])
+    def test_chunks_rebuilt_from_the_words(self, n_users, rician_k):
+        cfg = SystemConfig(n_users=n_users, n_ports=16, mu=0.8, rician_k=rician_k)
+        seed, cell, size, k = 5, 1, montecarlo.BLOCK, cfg.n_ports
+        chunks = _blocks(cfg, size, seed, cell, lambda p: p.copy())
+        assert len(chunks) > 1          # the words run on across a chunk boundary
+
+        rng = substream(seed, cell, 0)
+        h = cfg.mu * rng.standard_normal((2, size, n_users))
+        if rician_k:
+            phases = los_phases(cfg, seed)
+            h += math.sqrt(rician_k) * np.stack([np.cos(phases), np.sin(phases)])[:, None]
+        h = (h ** 2).sum(axis=0)
+        m2 = np.stack([h[:, 0], h[:, 1:].sum(axis=1)])[:, :, None]       # (2, size, 1)
+        s2 = 1.0 - cfg.mu ** 2
+
+        def uniforms(shape):
+            # V = (u + 1/2) 2^-32 in float32 of both 32-bit halves of each
+            # 64-bit word (every count here is even), then float64
+            words = rng.bit_generator.random_raw(math.prod(shape) // 2).view(np.uint32)
+            v = np.add(words.reshape(shape), np.float32(0.5), dtype=np.float32)
+            return (v * np.float32(2.0 ** -32)).astype(np.float64)
+
+        start = 0
+        for chunk in chunks:
+            rows = chunk.shape[1]
+            e = np.zeros((2, rows, k))
+            j = n_users - 2
+            if j > montecarlo._ERLANG_MAX:
+                e[1] = 2.0 * rng.standard_gamma(j, (rows, k), dtype=np.float32)
+            else:
+                for _ in range(j):
+                    e[1] -= 2.0 * np.log(uniforms((rows, k)))
+            cos = np.cos(2.0 * math.pi * (uniforms((2, rows, k)) - 0.5))
+            r2 = -2.0 * np.log(uniforms((2, rows, k)))
+            m2_at = m2[:, start:start + rows]
+            cross = 2.0 * np.sqrt(s2 * m2_at * r2)
+            want = s2 * (r2 + e) + cross * cos + m2_at
+            # float32 rounding, relative to each term; the 1 covers the log
+            # of an Erlang product near 1, whose error is absolute
+            scale = s2 * (r2 + e + 1.0) + cross + m2_at
+            # the largest gap measured is 1.5 eps; a shared word is off by O(1)
+            assert np.all(np.abs(chunk - want) <= 8 * np.finfo(np.float32).eps * scale)
+            start += rows
+        assert start == size
