@@ -16,11 +16,12 @@ over all of its K values.
 Semi-infinite axes use Gauss rules built in numpy from their recurrences
 (_gauss_rule): Gauss-Laguerre after r = 2t for the conditioners, and a chi
 rule in u = sqrt(y) for WET_SINR's conditional-Y axis.  Finite inner ranges
-use Gauss-Legendre.  One driver runs each kernel at _NODES and, as a
-Richardson check, at _RECHECK_NODES (every axis 1.5x), and gates each K's
-gap on its own by the absolute _ABS_GAP_GATE; a failed check raises
-specfun's QuadratureConvergenceError, as a Poisson window past its cap
-does.  Marcum Q and WET_SINR's conditional-Y pdf come as node grids from
+use Gauss-Legendre.  One driver, _with_richardson, answers a K from its
+certified bracket where that is within the absolute _ABS_GAP_GATE, or else
+runs the kernel at _NODES and, as a Richardson check, at _RECHECK_NODES
+(every axis 1.5x); a gap, or a value outside the bracket, beyond the gate
+raises specfun's QuadratureConvergenceError, as a Poisson window past its
+cap does.  Marcum Q and WET_SINR's conditional-Y pdf come as node grids from
 specfun's Poisson mixtures, contracted by BLAS products; the 3-D WET_SINR
 kernel builds its grids, that pdf included, in z-slabs on a thread per CPU.
 The WDT_SINR kernel and its closed form share one one-port series, a sum
@@ -51,8 +52,8 @@ _FLOOR = 1e-300
 # evaluated at _NODES and re-checked at _RECHECK_NODES, every axis 1.5x.
 _NODES = (48, 64)
 _RECHECK_NODES = (72, 96)
-# The Richardson gate: the largest absolute gap between the two rounds, and
-# how far outside [0, 1] a value may stray before clamping.
+# The gate: the widest bracket read with no kernel call, the largest absolute
+# gap between the two rounds, and how far outside its bracket a value may stray.
 _ABS_GAP_GATE = 1e-5
 # How far IDET_SPECIAL may exceed min(WDT_SINR, WET_EHP) in idet_general.
 _FRECHET_TOL = 1e-6
@@ -104,8 +105,8 @@ class KernelContext:
 
     @property
     def q_tilde(self) -> float:
-        """mu -> 0 limit of the normalized WET threshold."""
-        return self.q_hat * (1.0 - self.mu ** 2)
+        """mu -> 0 limit of the normalized WET threshold; inf wherever q_hat is."""
+        return math.inf if math.isinf(self.q_hat) else self.q_hat * (1.0 - self.mu ** 2)
 
     @property
     def corr_ratio(self) -> float:
@@ -234,13 +235,6 @@ def _check_mu(ctx: KernelContext, name: str) -> None:
         raise ValueError(f"{name} requires mu in (0, 1)")
 
 
-def _out_of_reach(ctx: KernelContext, ks) -> bool:
-    """Whether K P(X + Y >= q_hat) <= _FLOOR at every K of ks.  Under Rayleigh
-    a port's X + Y is chi2(2N) / (1 - mu^2), and K P(X + Y >= q_hat) bounds
-    both 1 - WET_SINR and WDT_SINR - IDET_SPECIAL."""
-    return max(ks) * sp.gammaincc(ctx.n_users, 0.5 * ctx.q_tilde) <= _FLOOR
-
-
 def _conditioners(ctx: KernelContext, ns: int):
     """lam1, lam2 are the shared-component noncentralities (0 for Rayleigh)."""
     n, mu2 = ctx.n_users, ctx.mu ** 2
@@ -249,25 +243,41 @@ def _conditioners(ctx: KernelContext, ns: int):
             _ncx2_quad(n - 1, lam2, ns))    # interference conditioner (2(N-1) dof)
 
 
-def _with_richardson(raw, ctx: KernelContext, quad: QuadratureSpec, name: str, ks) -> list:
-    """Evaluate raw(ctx, ns, nf, ks) at _NODES and, if asked, at _RECHECK_NODES;
-    then check (NaN fails) and clamp each K's value on its own.  A K that
-    fails gets its QuadratureConvergenceError in place of its value."""
+def _with_richardson(raw, ctx: KernelContext, quad: QuadratureSpec, name: str, ks,
+                     top=None) -> list:
+    """Each K's value, or the QuadratureConvergenceError its checks gave.
+
+    K's bracket is [top - K G, top] within [0, 1]: G = P(X + Y >= q_hat) at one
+    port is gammaincc(N, q_tilde/2) under Rayleigh (X + Y is chi2(2N)/(1 - mu^2)),
+    and 0 at q_hat = inf and 1 below for Rician input, which has no such law here.
+    top is 1 (WET outages), or (IDET_SPECIAL) a function of (ctx, quad, ks) run at
+    the K it answers; a kernel value is then held to [0, 1] alone.  q_hat = 0
+    gives [0, 0], and no top (WDT_SINR reads no q_hat) [0, 1]."""
     tol = _ABS_GAP_GATE
-    coarse = raw(ctx, *_NODES, ks)
-    fine = raw(ctx, *_RECHECK_NODES, ks) if quad.richardson_check else coarse
-
-    def checked(val, refined):
-        if quad.richardson_check:
-            if not abs(refined - val) <= tol:
-                return QuadratureConvergenceError(
-                    f"{name}: Richardson deviation {abs(refined - val):.3e} exceeds {tol:.1e}")
-            val = refined
-        if not -tol <= val <= 1.0 + tol:
-            return QuadratureConvergenceError(f"{name}: value {val} outside [0, 1]")
-        return min(max(val, 0.0), 1.0)
-
-    return [checked(v, r) for v, r in zip(coarse, fine)]
+    if top is None:
+        top, g = 1.0, math.inf
+    elif ctx.q_hat == 0.0:
+        top, g = 0.0, 0.0
+    else:
+        g = (float(sp.gammaincc(ctx.n_users, 0.5 * ctx.q_tilde)) if ctx.rician_k == 0.0
+             else float(math.isfinite(ctx.q_hat)))
+    answered = tuple(k for k in ks if k * g <= tol)
+    out = dict(zip(answered, top(ctx, quad, answered) if answered and callable(top)
+                   else [top] * len(answered)))
+    rest = tuple(k for k in ks if k not in out)
+    coarse = raw(ctx, *_NODES, rest) if rest else []
+    fine = raw(ctx, *_RECHECK_NODES, rest) if rest and quad.richardson_check else coarse
+    for k, val, refined in zip(rest, coarse, fine):
+        lo = 0.0 if callable(top) else max(0.0, top - k * g)
+        gap = abs(refined - val) if quad.richardson_check else 0.0     # NaN fails
+        if not gap <= tol:
+            out[k] = QuadratureConvergenceError(
+                f"{name}: Richardson deviation {gap:.3e} exceeds {tol:.1e}")
+        elif not lo - tol <= refined <= 1.0 + tol:
+            out[k] = QuadratureConvergenceError(f"{name}: value {refined} outside [{lo:.12g}, 1]")
+        else:
+            out[k] = min(max(refined, lo), 1.0)
+    return [out[k] for k in ks]
 
 
 def _at_n_ports(ports):
@@ -378,11 +388,7 @@ def wet_ehp_exact(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     a (1 + kappa/2) factor; rician_k = 0 is Rayleigh fading.
     """
     _check_mu(ctx, "wet_ehp_exact")
-    if ctx.q_hat == 0.0:
-        return [0.0] * len(ks)
-    if math.isinf(ctx.q_hat):
-        return [1.0] * len(ks)
-    return _with_richardson(_wet_ehp_raw, ctx, quad, "wet_ehp_exact", ks)
+    return _with_richardson(_wet_ehp_raw, ctx, quad, "wet_ehp_exact", ks, 1.0)
 
 
 def wet_ehp_approx(ctx: KernelContext) -> float:
@@ -492,16 +498,12 @@ def wet_sinr_exact(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     """Probability the SIR-optimal port harvests below Q_th."""
     _check_mu(ctx, "wet_sinr_exact")
     _rayleigh_only(ctx, "wet_sinr_exact")
-    if ctx.q_hat == 0.0:
-        return [0.0] * len(ks)
-    if _out_of_reach(ctx, ks):
-        return [1.0] * len(ks)
     # single port: the selection conditioning is vacuous, so K = 1 takes the WET_EHP kernel
-    multi, out = tuple(k for k in ks if k > 1), {}
-    if multi:
-        out.update(zip(multi, _with_richardson(_wet_sinr_raw, ctx, quad, "wet_sinr_exact", multi)))
+    multi = tuple(k for k in ks if k > 1)
+    out = dict(zip(multi, _with_richardson(_wet_sinr_raw, ctx, quad, "wet_sinr_exact", multi,
+                                           1.0)))
     if 1 in ks:
-        out[1], = _with_richardson(_wet_ehp_raw, ctx, quad, "wet_sinr_exact", (1,))
+        out[1], = _with_richardson(_wet_ehp_raw, ctx, quad, "wet_sinr_exact", (1,), 1.0)
     return [out[k] for k in ks]
 
 
@@ -564,14 +566,12 @@ def _idet_special_raw(ctx: KernelContext, ns: int, nf: int, ks) -> list[float]:
 def idet_special_exact(ctx: KernelContext, quad: QuadratureSpec, ks) -> list:
     """Probability every port fails the SIR and the harvest test jointly.
 
-    Where no port reaches q_hat (_out_of_reach) it is the WDT_SINR outage."""
+    It lies at most K P(X + Y >= q_hat) below WDT_SINR, so where that bound is
+    within _ABS_GAP_GATE it reads wdt_sinr_exact's value (_with_richardson)."""
     _check_mu(ctx, "idet_special_exact")
     _rayleigh_only(ctx, "idet_special_exact")
-    if ctx.q_hat == 0.0:
-        return [0.0] * len(ks)
-    if _out_of_reach(ctx, ks):
-        return wdt_sinr_exact.over_ports(ctx, quad, ks)
-    return _with_richardson(_idet_special_raw, ctx, quad, "idet_special_exact", ks)
+    return _with_richardson(_idet_special_raw, ctx, quad, "idet_special_exact", ks,
+                            wdt_sinr_exact.over_ports)
 
 
 def idet_special_approx(ctx: KernelContext) -> float:

@@ -700,6 +700,14 @@ class TestNonFiniteInput:
         assert captured.out == ""
         assert captured.err == f"error: {want} is out of float range\n"
 
+    def test_mu_one_with_all_power_to_the_decoder_reads_one(self, tmp_path, capsys):
+        # q_hat = inf: the WET_SINR closed form is 1 at every mu, where it
+        # printed NaN with no error at mu = 1
+        cfg = write_cfg(tmp_path, "n_users = 3\nn_ports = 8\nmu = 1\nps_ratio = 1\n"
+                                  "sweep.metrics = WET_SINR:CLOSED_FORM\n")
+        assert main(["eval", cfg]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == ",WET_SINR,CLOSED_FORM,1,,,,"
+
     @pytest.mark.parametrize("w", ["nan", "inf", "-2", "0"])
     def test_mu_verb_exits_1(self, w, capsys):
         assert main(["mu", "--w", w]) == 1
