@@ -14,7 +14,8 @@ every estimate a pure function of (config, seed) regardless of scheduling;
 the blocks of one estimate run on a thread per CPU.  A block draws,
 transforms and counts its trials in row chunks of at most ENTRIES port
 powers, so its memory does not grow with K, and each numpy call of a chunk
-covers both antenna groups, large enough for two threads to overlap.
+covers both antenna groups, large enough for two threads to overlap.  A
+chunk is counted at every K of a nested pass at once (see _count).
 """
 
 from __future__ import annotations
@@ -223,11 +224,6 @@ def _uniform_cos(bits, out, scratch):
     return out
 
 
-def _sinr(desired, interf):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(interf > 0.0, desired / interf, np.inf)
-
-
 def _q_scale(cfg) -> float:
     # 2/(2+kappa) keeps mean harvested power independent of the LoS strength
     return (1.0 - cfg.ps_ratio) * cfg.tx_power / cfg.distance ** cfg.pathloss_exp \
@@ -244,21 +240,18 @@ def simulate_outage_counts(
     """Failure counts for all six outage metrics over `trials` realizations.
 
     Returns ``{"counts": {Metric: int}, "trials": trials}``.  With `k_values`
-    (nested ports, each in [1, n_ports]) the six metrics are also counted at
-    each of those K on common random numbers, so the pathwise monotonicity
-    of the four max-based metrics in K is exact; they come as ``"nested"``
-    ({Metric: int array over k_values}).
+    (nested ports, each in [1, n_ports], in any order) the six metrics are
+    also counted at each of those K on the same draw, the first K ports of
+    every trial, so the pathwise monotonicity of the four max-based metrics
+    in K is exact and the count at n_ports is the plain run's; they come as
+    ``"nested"`` ({Metric: int array over k_values}).
     """
     if not all(isinstance(k, (int, np.integer)) and 1 <= k <= cfg.n_ports for k in k_values or ()):
         raise ValueError(f"k_values must be integers in [1, {cfg.n_ports}], got {k_values}")
     gamma, total_th = _thresholds(cfg)
-    keys = list(dict.fromkeys([cfg.n_ports, *(k_values or [])]))  # distinct K to count at
-
-    def reduce(p):
-        sinr, total = _sinr(p[0], p[1]), p[0] + p[1]
-        return [_count(sinr[:, :k], total[:, :k], gamma, total_th) for k in keys]
-
-    tally = dict(zip(keys, np.sum(_blocks(cfg, trials, seed, cell, reduce), axis=0)))
+    small = sorted(set(k_values or ()) - {cfg.n_ports})   # distinct K below n_ports
+    chunks = _blocks(cfg, trials, seed, cell, lambda p: _count(p, small, gamma, total_th))
+    tally = dict(zip([cfg.n_ports, *small], np.sum(chunks, axis=0)))
     out = {"trials": trials, "counts": dict(zip(Metric, map(int, tally[cfg.n_ports])))}
     if k_values:
         out["nested"] = dict(zip(Metric, np.array([tally[k] for k in k_values]).T))
@@ -280,15 +273,52 @@ def _thresholds(cfg):
         return np.float32(cfg.sinr_threshold), np.float32(total_th)
 
 
-def _count(sinr, total, gamma, total_th):
-    """A chunk's failures of the six metrics, in Metric order."""
-    rows = np.arange(len(sinr))
-    by_sinr, by_q = np.argmax(sinr, axis=1), np.argmax(total, axis=1)
-    wdt_fail = sinr[rows, by_sinr] < gamma
-    wet_fail = total[rows, by_q] < total_th
-    return [np.count_nonzero(fail) for fail in (
-        wdt_fail, total[rows, by_sinr] < total_th, sinr[rows, by_q] < gamma, wet_fail,
-        wdt_fail & wet_fail, wdt_fail | wet_fail)]
+def _count(p, small, gamma, total_th):
+    """A chunk's failures of the six metrics in Metric order: one row at the
+    chunk's K, then one at each K of `small` (ascending, all below it).
+
+    A port's SINR is p0 / p1, inf where p1 = 0 (0/0 too), and its total is
+    p0 + p1; each K picks, among its first K ports, the first of the largest
+    SINR (WDT) or total (WET).  The chunk's K takes argmax over whole rows.
+    The smaller K share one pass over int64 keys, a value's float32 bits
+    (which order like the nonnegative floats, inf too) over K - 1 - j, so a
+    maximum key names the first port j of its maximum: each segment of ports
+    between two K is reduced once, port-major so the reduce runs across
+    trials, and a running maximum gives each K's maximum key.
+    """
+    _, rows, k = p.shape
+    q = np.empty_like(p)                                  # SINR, total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(p[0], p[1], out=q[0])
+    np.fmin(q[0], np.inf, out=q[0])                       # 0/0 reads inf
+    np.add(p[0], p[1], out=q[1])
+    thr = np.array([gamma, total_th], np.float32)[:, None]
+    start = np.arange(0, rows * k, k)                     # flat index of port 0
+    # fail[v, 2 b + m]: at the v-th K, quantity m fails at the port that
+    # maximises quantity b; with IDET_SPECIAL and IDET_GENERAL, Metric order
+    fail = np.empty((1 + len(small), 6, rows), bool)
+    # nonnegative float32 bits argmax like the floats, and faster as int32
+    by = start + np.argmax(q.view(np.int32).reshape(-1, k), axis=1).reshape(2, rows)
+    np.less(np.take(q.reshape(2, -1), by, axis=1), thr[:, None],
+            out=fail[0, :4].reshape(2, 2, rows).transpose(1, 0, 2))
+    if small:
+        top = small[-1]
+        key = np.empty((top, 2, rows), "<i8")
+        word = key.view("<u4")                            # low, high word of each key
+        word[..., 1::2] = q[:, :, :top].transpose(2, 0, 1).view(np.uint32)
+        word[..., 0::2] = np.arange(k - 1, k - 1 - top, -1, dtype=np.uint32)[:, None, None]
+        best = np.empty((len(small), 2, rows), "<i8")     # each K's maximum key
+        for i, (a, b) in enumerate(zip([0, *small], small)):
+            np.maximum.reduce(key[a:b], axis=0, out=best[i])
+            if i:
+                np.maximum(best[i], best[i - 1], out=best[i])
+        np.less(best, thr.view(np.uint32).astype(np.int64) << 32, out=fail[1:, 0:4:3])
+        # the other quantity, total or SINR, at the port each maximum names
+        at = start + (k - 1) + np.array([[rows * k], [0]]) - best.view("<u4")[..., 0::2]
+        np.less(np.take(q, at), thr[::-1], out=fail[1:, 1:3])
+    np.logical_and(fail[:, 0], fail[:, 3], out=fail[:, 4])
+    np.logical_or(fail[:, 0], fail[:, 3], out=fail[:, 5])
+    return np.count_nonzero(fail, axis=-1)
 
 
 def wilson_interval(count: int, trials: int, z: float = 1.96) -> tuple[float, float]:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import fama_idet
@@ -163,7 +165,9 @@ class TestPinnedStream:
         ):
             def reduce(p):
                 p = p.astype(np.float64)
-                sinr, q = montecarlo._sinr(p[0], p[1]), q_scale * (p[0] + p[1])
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    sinr = np.where(p[1] > 0.0, p[0] / p[1], np.inf)
+                q = q_scale * (p[0] + p[1])
                 idx = np.argmax(sinr if wdt else q, axis=1)
                 picked = np.arange(len(idx))
                 rate, sel_q = np.log2(1.0 + sinr[picked, idx]), q[picked, idx]
@@ -232,9 +236,11 @@ class TestBlockMemory:
         (5, {}), (5, {"k_values": [1, 50, 200]}), (16, {})], ids=["plain", "nested_k", "n16"])
     def test_block_peak_does_not_grow_with_k(self, n_users, nested, monkeypatch):
         # at K = 200 a whole (BLOCK, K, 2) array would take 26 MB; in chunks
-        # a block peaks at 2.3 MB, counted at one K or at several, and at
-        # 3.3 MB with 15 interfering antennas, whose float64 means (2, BLOCK,
-        # 16) take 2.1 MB; the bound leaves 0.7 MB above the larger peak
+        # a block peaks at 2.3 MB counted at its K alone, at 2.6 MB counted
+        # at K = 1, 50 and 200 (the int64 keys of the first 50 ports add
+        # 0.3 MB), and at 3.3 MB with 15 interfering antennas, whose float64
+        # means (2, BLOCK, 16) take 2.1 MB; the bound leaves 0.7 MB above
+        # the largest peak
         monkeypatch.setattr(channel, "_cpus", lambda: 1)
         dtypes = set()
         blocks = montecarlo._blocks
@@ -333,6 +339,124 @@ class TestNestedSweeps:
         cfg = cfg_small(n_users=3, n_ports=8)
         with pytest.raises(ValueError, match="k_values must be integers in"):
             simulate_outage_counts(cfg, 1000, seed=0, **nested)
+
+
+def oracle_counts(p, views, gamma, total_th):
+    """Each view's failures in Metric order, one argmax per view and quantity
+    over its first K ports: the per-K count that montecarlo._count replaces."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinr = np.where(p[1] > 0.0, p[0] / p[1], np.inf)
+    total = p[0] + p[1]
+    out = []
+    for k in views:
+        s, t = sinr[:, :k], total[:, :k]
+        rows = np.arange(len(s))
+        by_sinr, by_q = np.argmax(s, axis=1), np.argmax(t, axis=1)
+        wdt_fail = s[rows, by_sinr] < gamma
+        wet_fail = t[rows, by_q] < total_th
+        out.append([np.count_nonzero(fail) for fail in (
+            wdt_fail, t[rows, by_sinr] < total_th, s[rows, by_q] < gamma, wet_fail,
+            wdt_fail & wet_fail, wdt_fail | wet_fail)])
+    return out
+
+
+def chunk_counts(p, views, gamma, total_th):
+    """montecarlo._count's rows for `views`, in any order and with repeats,
+    picked as simulate_outage_counts picks them."""
+    k = p.shape[2]
+    small = sorted(set(views) - {k})
+    table = dict(zip([k, *small], montecarlo._count(p, small, gamma, total_th).tolist()))
+    return [table[v] for v in views]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestChunkCount:
+    """montecarlo._count against the per-K oracle on hand-built chunks.
+
+    Every K view picks the first port of the largest SINR or total power,
+    as argmax does, and a port with p1 = 0 reads SINR inf, 0/0 included.
+    The chunks below put ties at the row maximum, in SINR and in total
+    power, between ports that the other quantity's test tells apart, so a
+    count that let a later port win, or read 0/0 as NaN, differs.
+    """
+
+    # (p0, p1) per row of 6 ports; gamma = 2 and total_th = 4 make the flags differ
+    ROWS = [
+        # d/0 at port 1 ties the 0/0 ports at SINR inf; totals 5 and 0
+        ([1, 5, 0, 2, 1, 0], [1, 0, 0, 1, 1, 0]),
+        # a 0/0 port is the only SINR inf
+        ([1, 0, 2, 1, 1, 1], [1, 0, 4, 1, 1, 1]),
+        # SINR 2 at ports 1, 3 and 5 (totals 3, 9, 9); total 9 ties too
+        ([1, 2, 0.5, 6, 1, 6], [1, 1, 1, 3, 1, 3]),
+        # total 4 at ports 1, 2, 4 and 5 (SINR 1/3, 3, 3, 1/3)
+        ([1, 1, 3, 0.5, 3, 1], [1, 3, 1, 0.5, 1, 3]),
+        # every port 0/0
+        ([0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]),
+        # p1 = 0 < p0 at port 0 ties d/0 at port 4; a total past float32's max
+        ([3, 1, 3e38, 1e-45, 6, 1], [0, 1, 3e38, 1e-45, 0, 2]),
+    ]
+    VIEWS = [[6], [1], [1, 2, 3, 4, 5, 6], [5, 3, 6, 2], [4, 4, 1], [6, 5, 4, 3, 2, 1]]
+    THRESHOLDS = [(2, 4), (np.inf, 4), (2, 0), (2, np.inf), (0, np.inf), (3e38, 1e-45)]
+
+    def chunk(self, rows=None):
+        rows = self.ROWS if rows is None else rows
+        return np.array([[r[0] for r in rows], [r[1] for r in rows]], np.float32)
+
+    @pytest.mark.parametrize("thresholds", THRESHOLDS, ids=str)
+    @pytest.mark.parametrize("views", VIEWS, ids=str)
+    def test_matches_per_k_oracle(self, views, thresholds):
+        p = self.chunk()
+        gamma, total_th = np.float32(thresholds[0]), np.float32(thresholds[1])
+        assert chunk_counts(p, views, gamma, total_th) == oracle_counts(p, views, gamma, total_th)
+
+    def test_ties_go_to_the_first_port(self):
+        # [WDT_SINR, WET_SINR, WDT_EHP, WET_EHP, IDET_SPECIAL, IDET_GENERAL]
+        gamma, total_th = np.float32(2), np.float32(4)
+        sinr_tie, total_tie = self.chunk(self.ROWS[2:3]), self.chunk(self.ROWS[3:4])
+        # port 1's total 3 fails at every K from 2 (port 3's 9 would not)
+        assert chunk_counts(sinr_tie, [6, 4, 2], gamma, total_th) == [
+            [0, 1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 1]]
+        # port 1's SINR 1/3 fails at every K from 2 (port 2's or 4's 3 would not)
+        assert chunk_counts(total_tie, [6, 5, 3], gamma, total_th) == [[0, 0, 1, 0, 0, 0]] * 3
+
+    def test_zero_over_zero_reads_inf(self):
+        # the d/0 port 1 comes before the 0/0 port 2 at SINR inf, so its
+        # total 5 is read, not 0; where 0/0 is the only inf, its total 0 is
+        gamma, total_th = np.float32(2), np.float32(4)
+        assert chunk_counts(self.chunk(self.ROWS[:1]), [6, 3, 2], gamma, total_th) == [
+            [0, 0, 0, 0, 0, 0]] * 3
+        assert chunk_counts(self.chunk(self.ROWS[1:2]), [6, 2], gamma, total_th) == [
+            [0, 1, 1, 0, 0, 0], [0, 1, 1, 1, 0, 1]]
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_oracle_on_small_alphabets(self, data):
+        # few distinct values, so ties, zeros and 0/0 are common
+        alphabet = [0.0, 0.0, 1e-45, 0.5, 1.0, 1.0, 2.0, 3e38]
+        k = data.draw(st.integers(1, 9), label="K")
+        rows = data.draw(st.integers(1, 5), label="rows")
+        p = np.array(data.draw(st.lists(st.sampled_from(alphabet), min_size=2 * rows * k,
+                                        max_size=2 * rows * k)), np.float32).reshape(2, rows, k)
+        views = data.draw(st.lists(st.integers(1, k), min_size=1, max_size=6), label="views")
+        gamma, total_th = (np.float32(data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, np.inf])))
+                           for _ in range(2))
+        assert chunk_counts(p, views, gamma, total_th) == oracle_counts(p, views, gamma, total_th)
+
+    @pytest.mark.parametrize("kw, k_values", [
+        (dict(n_users=3, n_ports=64, fa_size=2.0, ehp_threshold=0.03), [1, 2, 4, 8, 16, 32, 64]),
+        (dict(n_users=5, n_ports=200, fa_size=5.0, ehp_threshold=0.11), [200, 37, 1, 50, 37]),
+        (dict(n_users=4, n_ports=17, rician_k=2.0, ehp_threshold=0.05), [9, 1, 16, 3]),
+    ], ids=["port-sweep", "reference", "rician"])
+    def test_nested_pass_matches_oracle_over_blocks(self, kw, k_values):
+        cfg = SystemConfig(**kw)
+        gamma, total_th = montecarlo._thresholds(cfg)
+        res = simulate_outage_counts(cfg, montecarlo.BLOCK + 3000, seed=4, cell=1,
+                                     k_values=k_values)
+        views = [cfg.n_ports, *k_values]
+        want = np.sum(_blocks(cfg, montecarlo.BLOCK + 3000, 4, 1,
+                              lambda p: oracle_counts(p, views, gamma, total_th)), axis=0)
+        assert [res["counts"][m] for m in Metric] == want[0].tolist()
+        assert np.array([res["nested"][m] for m in Metric]).T.tolist() == want[1:].tolist()
 
 
 class TestThresholdMonotone:
